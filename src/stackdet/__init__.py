@@ -9,17 +9,16 @@ degrades as the blacklist grows.
 from .bank import (
     DetectorBank,
     MNormStats,
-    SpeakerModel,
     apply_mnorm,
     compute_mnorm_stats,
     enroll,
     length_normalize,
     mnorm_stats_from_scores,
     score_all,
+    stack_scores,
 )
 from .data import (
     DataFormatError,
-    Embedding,
     EmbeddingSet,
     PartitionManifest,
     ScoreMatrix,
@@ -36,15 +35,10 @@ from .data import (
 from .metrics import (
     DetectorReport,
     OperatingPoint,
-    StackScore,
-    TrialLabel,
     det_points,
-    eer_from_points,
     save_det_points,
     stack_reduce,
     sweep_both,
-    sweep_top_1,
-    sweep_top_s,
 )
 from .synth import (
     PartitionSpec,

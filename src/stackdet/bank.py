@@ -1,4 +1,4 @@
-"""Detector-bank enrollment, dense cosine scoring, and M-Norm.
+"""Detector-bank enrollment, cosine scoring, M-Norm, and blockwise stack scores.
 
 A detector is one enrolled blacklist speaker: the unit-length mean direction
 of that speaker's length-normalized utterances.  Raw scores are cosines of
@@ -45,14 +45,6 @@ def _normalize_rows(mat: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     if bad.size:
         raise ValueError(f"zero vector for utterance {ids[bad[0]]!r}")
     return mat / norms[:, None]
-
-
-@dataclass(frozen=True)
-class SpeakerModel:
-    """One enrolled speaker: id plus unit-length direction."""
-
-    speaker_id: str
-    direction: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,13 +116,6 @@ class DetectorBank:
     def __len__(self) -> int:
         return self.directions.shape[0]
 
-    @property
-    def models(self) -> list[SpeakerModel]:
-        return [
-            SpeakerModel(spk, self.directions[i])
-            for i, spk in enumerate(self.speaker_ids)
-        ]
-
     def take(self, k: int) -> "DetectorBank":
         """Sub-bank of the first k detectors (normalization stats dropped)."""
         if not 1 <= k <= len(self):
@@ -168,17 +153,32 @@ def enroll(train: EmbeddingSet, augment: EmbeddingSet | None = None) -> Detector
     return DetectorBank(tuple(groups), directions)
 
 
+def _probes(bank: DetectorBank, trials: EmbeddingSet) -> np.ndarray:
+    if trials.dimension != bank.dimension:
+        raise ValueError(
+            f"dimension mismatch: trials {trials.dimension} vs bank {bank.dimension}"
+        )
+    return _normalize_rows(trials.vectors, trials.utterance_ids)
+
+
+def _map_blocks(n_trials: int, threads: int, run) -> None:
+    """Call run((a, b)) on every fixed _CHUNK-row trial span, on up to `threads` workers."""
+    spans = [(a, min(a + _CHUNK, n_trials)) for a in range(0, n_trials, _CHUNK)]
+    if threads <= 1 or len(spans) <= 1:
+        for span in spans:
+            run(span)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, spans))
+
+
 def score_all(bank: DetectorBank, trials: EmbeddingSet, threads: int = 1) -> ScoreMatrix:
     """Cosine of every length-normalized trial against every detector.
 
     Work is split into fixed-size trial blocks merged by index, so the
     result is identical for any thread count.
     """
-    if trials.dimension != bank.dimension:
-        raise ValueError(
-            f"dimension mismatch: trials {trials.dimension} vs bank {bank.dimension}"
-        )
-    probes = _normalize_rows(trials.vectors, trials.utterance_ids)
+    probes = _probes(bank, trials)
     out = np.empty((len(trials), len(bank)))
     dirs_t = bank.directions.T
 
@@ -186,13 +186,7 @@ def score_all(bank: DetectorBank, trials: EmbeddingSet, threads: int = 1) -> Sco
         a, b = span
         out[a:b] = probes[a:b] @ dirs_t
 
-    spans = [(a, min(a + _CHUNK, len(trials))) for a in range(0, len(trials), _CHUNK)]
-    if threads <= 1 or len(spans) <= 1:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
+    _map_blocks(len(trials), threads, run)
     return ScoreMatrix(trials.utterance_ids, bank.speaker_ids, out)
 
 
@@ -231,6 +225,27 @@ def compute_mnorm_stats(
     return mnorm_stats_from_scores(score_all(bank, cohort, threads=threads))
 
 
+def _check_mnorm(stats: MNormStats | None, n_detectors: int, mode: str) -> None:
+    if mode not in NORM_MODES:
+        raise ValueError(f"normalization mode must be one of {NORM_MODES}")
+    if mode == "none":
+        return
+    if stats is None:
+        raise ValueError(f"mode {mode!r} requires normalization statistics")
+    if len(stats) != n_detectors:
+        raise ValueError(
+            f"size mismatch: {len(stats)} stats vs {n_detectors} detectors"
+        )
+
+
+def _mnorm(scores: np.ndarray, stats: MNormStats, mode: str) -> np.ndarray:
+    if mode == "full":
+        return (scores - stats.mu) / stats.sigma
+    if mode == "shift":
+        return scores - stats.mu
+    return scores / stats.sigma
+
+
 def apply_mnorm(
     matrix: ScoreMatrix, stats: MNormStats | None, mode: str = "full"
 ) -> ScoreMatrix:
@@ -239,20 +254,54 @@ def apply_mnorm(
     Modes: ``full`` shifts and scales, ``shift`` only subtracts mu,
     ``scale`` only divides by sigma, ``none`` returns the scores unchanged.
     """
-    if mode not in NORM_MODES:
-        raise ValueError(f"normalization mode must be one of {NORM_MODES}")
+    _check_mnorm(stats, matrix.n_detectors, mode)
     if mode == "none":
         return matrix
-    if stats is None:
-        raise ValueError(f"mode {mode!r} requires normalization statistics")
-    if len(stats) != matrix.n_detectors:
-        raise ValueError(
-            f"size mismatch: {len(stats)} stats vs {matrix.n_detectors} detectors"
-        )
-    if mode == "full":
-        out = (matrix.scores - stats.mu) / stats.sigma
-    elif mode == "shift":
-        out = matrix.scores - stats.mu
-    else:
-        out = matrix.scores / stats.sigma
-    return ScoreMatrix(matrix.trial_ids, matrix.detector_ids, out)
+    return ScoreMatrix(
+        matrix.trial_ids, matrix.detector_ids, _mnorm(matrix.scores, stats, mode)
+    )
+
+
+def stack_scores(
+    bank: DetectorBank,
+    trials: EmbeddingSet,
+    sizes: Sequence[int],
+    stats: Sequence[MNormStats | None] | None = None,
+    mode: str = "none",
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack scores of every trial on the first k detectors, for each k in sizes.
+
+    Returns ``(y_star, h_star)``, each ``(len(sizes), len(trials))``: the best
+    score over detectors ``0..sizes[i]-1`` after M-Norm with ``stats[i]``
+    (ignored when ``mode`` is ``none``) and the lowest index attaining it.
+    The bytes equal ``score_all`` -> ``apply_mnorm`` -> ``stack_reduce``, but
+    only one ``_CHUNK``-row trial block per worker is held at a time.
+    """
+    sizes = [int(k) for k in sizes]
+    if not sizes or not all(1 <= k <= len(bank) for k in sizes):
+        raise ValueError(f"sizes must lie in 1..{len(bank)}, got {sizes}")
+    stats = [None] * len(sizes) if stats is None else list(stats)
+    if len(stats) != len(sizes):
+        raise ValueError(f"{len(stats)} sets of normalization statistics for {len(sizes)} sizes")
+    for k, st in zip(sizes, stats):
+        _check_mnorm(st, k, mode)
+    probes = _probes(bank, trials)
+    y_star = np.empty((len(sizes), len(trials)))
+    h_star = np.empty((len(sizes), len(trials)), dtype=np.int64)
+
+    def run(span: tuple[int, int]) -> None:
+        a, b = span
+        block = probes[a:b] @ bank.directions.T
+        for i, (k, st) in enumerate(zip(sizes, stats)):
+            scores = block[:, :k]
+            # cosines of finite unit vectors are finite; only M-Norm can overflow
+            if mode != "none":
+                scores = _mnorm(scores, st, mode)
+                if not np.isfinite(scores).all():
+                    raise ValueError("scores contain non-finite values")
+            y_star[i, a:b] = scores.max(axis=1)
+            h_star[i, a:b] = scores.argmax(axis=1)
+
+    _map_blocks(len(trials), threads, run)
+    return y_star, h_star

@@ -43,11 +43,11 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def save_bank(b: bank_mod.DetectorBank, out_dir: Path) -> None:
+    if b.mnorm is None:
+        raise ValueError("bank has no normalization statistics to persist")
     out_dir.mkdir(parents=True, exist_ok=True)
     as_set = data.EmbeddingSet(b.speaker_ids, b.speaker_ids, b.directions)
     data.save_embeddings(as_set, out_dir / BANK_FILE)
-    if b.mnorm is None:
-        raise ValueError("bank has no normalization statistics to persist")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "cohort_size": b.mnorm.cohort_size,
@@ -60,6 +60,53 @@ def save_bank(b: bank_mod.DetectorBank, out_dir: Path) -> None:
         f.write("\n")
 
 
+def _json_is(value, kind) -> bool:
+    """JSON type check: bools are not numbers, and ``[kind]`` is a list of kind."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_json_is(v, kind[0]) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# mnorm.json key -> (JSON type, its name for error messages)
+_MNORM_KEYS = {
+    "schema_version": (int, "an integer"),
+    "cohort_size": (int, "an integer"),
+    "detector_ids": ([str], "a list of strings"),
+    "mu": ([(int, float)], "a list of numbers"),
+    "sigma": ([(int, float)], "a list of numbers"),
+}
+
+
+def _with_mnorm(b: bank_mod.DetectorBank, path: Path) -> bank_mod.DetectorBank:
+    """Attach the stats in mnorm.json; every defect is a DataFormatError naming the file."""
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            payload = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise data.DataFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise data.DataFormatError(f"{path}: expected a JSON object")
+    for key, (kind, expected) in _MNORM_KEYS.items():
+        if key not in payload:
+            raise data.DataFormatError(f"{path}: missing key {key!r}")
+        if not _json_is(payload[key], kind):
+            raise data.DataFormatError(f"{path}: key {key!r} must be {expected}")
+    if payload["schema_version"] != SCHEMA_VERSION:
+        raise data.DataFormatError(f"{path}: unsupported schema_version {payload['schema_version']}")
+    if tuple(payload["detector_ids"]) != b.speaker_ids:
+        raise data.DataFormatError(f"{path}: detector ids do not match {BANK_FILE}")
+    try:
+        return b.with_mnorm(
+            bank_mod.MNormStats(
+                np.array(payload["mu"], dtype=np.float64),
+                np.array(payload["sigma"], dtype=np.float64),
+                payload["cohort_size"],
+            )
+        )
+    except ValueError as exc:
+        raise data.DataFormatError(f"{path}: {exc}") from None
+
+
 def load_bank(bank_dir) -> bank_mod.DetectorBank:
     bank_dir = Path(bank_dir)
     bank_path = bank_dir / BANK_FILE
@@ -69,23 +116,14 @@ def load_bank(bank_dir) -> bank_mod.DetectorBank:
     b = bank_mod.DetectorBank(as_set.utterance_ids, as_set.vectors)
     stats_path = bank_dir / MNORM_FILE
     if stats_path.exists():
-        with stats_path.open("r", encoding="utf-8") as f:
-            payload = json.load(f)
-        if tuple(payload["detector_ids"]) != b.speaker_ids:
-            raise ValueError(f"{stats_path}: detector ids do not match {BANK_FILE}")
-        stats = bank_mod.MNormStats(
-            np.array(payload["mu"], dtype=np.float64),
-            np.array(payload["sigma"], dtype=np.float64),
-            int(payload["cohort_size"]),
-        )
-        b = b.with_mnorm(stats)
+        b = _with_mnorm(b, stats_path)
     return b
 
 
-def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int | None]:
-    """Label CSV rows are ``utterance_id,truth`` with ``-`` for background."""
+def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int]:
+    """Label CSV rows are ``utterance_id,truth`` with ``-`` (index -1) for background."""
     index = {spk: i for i, spk in enumerate(b.speaker_ids)}
-    mapping: dict[str, int | None] = {}
+    mapping: dict[str, int] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as f:
         for rownum, rec in enumerate(csv.reader(f), start=1):
             if len(rec) != 2:
@@ -98,7 +136,7 @@ def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int | None]:
                     f"{path}: row {rownum}: duplicate label for {utt!r}"
                 )
             if truth == data.UNLABELED:
-                mapping[utt] = None
+                mapping[utt] = -1
             elif truth in index:
                 mapping[utt] = index[truth]
             else:
@@ -108,15 +146,12 @@ def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int | None]:
     return mapping
 
 
-def _scored_matrix(b, trials, norm_mode, threads):
-    matrix = bank_mod.score_all(b, trials, threads=threads)
-    if norm_mode != "none":
-        if b.mnorm is None:
-            raise ValueError(
-                f"normalization mode {norm_mode!r} needs {MNORM_FILE} in the bank directory"
-            )
-        matrix = bank_mod.apply_mnorm(matrix, b.mnorm, norm_mode)
-    return matrix
+def _mnorm_for(b: bank_mod.DetectorBank, norm_mode: str) -> bank_mod.MNormStats | None:
+    if norm_mode != "none" and b.mnorm is None:
+        raise ValueError(
+            f"normalization mode {norm_mode!r} needs {MNORM_FILE} in the bank directory"
+        )
+    return b.mnorm
 
 
 def cmd_enroll(args) -> int:
@@ -132,8 +167,11 @@ def cmd_enroll(args) -> int:
 
 def cmd_score(args) -> int:
     b = load_bank(args.bank)
+    stats = _mnorm_for(b, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
-    matrix = _scored_matrix(b, trials, args.norm_mode, args.threads)
+    matrix = bank_mod.apply_mnorm(
+        bank_mod.score_all(b, trials, threads=args.threads), stats, args.norm_mode
+    )
     data.save_scores(matrix, args.out)
     print(f"scored trials={matrix.n_trials} detectors={matrix.n_detectors}")
     return 0
@@ -141,17 +179,20 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
+    if args.det_points < 2:
+        raise ValueError(f"--det-points must be at least 2, got {args.det_points}")
     b = load_bank(args.bank)
+    stats = _mnorm_for(b, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
     mapping = _load_labels(args.labels, b)
-    labels = []
     for utt in trials.utterance_ids:
         if utt not in mapping:
             raise ValueError(f"{args.labels}: missing label for trial {utt!r}")
-        labels.append(metrics.TrialLabel(utt, mapping[utt]))
-    matrix = _scored_matrix(b, trials, args.norm_mode, args.threads)
-    stack = metrics.stack_reduce(matrix)
-    top_s, top_1 = metrics.sweep_both(stack, labels)
+    truth = np.array([mapping[utt] for utt in trials.utterance_ids], dtype=np.int64)
+    (y_star,), (h_star,) = bank_mod.stack_scores(
+        b, trials, [len(b)], [stats], args.norm_mode, args.threads
+    )
+    top_s, top_1 = metrics.sweep_both(y_star, h_star, truth)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

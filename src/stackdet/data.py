@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,19 +43,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """One utterance: an id, an optional speaker label, and its vector."""
-
-    utterance_id: str
-    speaker_id: str | None
-    vector: np.ndarray
-
-
 class EmbeddingSet:
     """Ordered, immutable collection of same-dimension embeddings.
 
-    Iteration follows construction (file) order; vectors are held as a
+    Rows follow construction (file) order; vectors are held as a
     read-only (N, D) float64 array, safe to share across workers.
     """
 
@@ -111,13 +102,6 @@ class EmbeddingSet:
 
     def __len__(self) -> int:
         return self._vectors.shape[0]
-
-    def __getitem__(self, i: int) -> Embedding:
-        return Embedding(self._utterance_ids[i], self._speaker_ids[i], self._vectors[i])
-
-    def __iter__(self) -> Iterator[Embedding]:
-        for i in range(len(self)):
-            yield self[i]
 
     def subset(self, indices) -> "EmbeddingSet":
         """New set holding the given rows, in the given order."""

@@ -30,25 +30,6 @@ TOP_1 = "top_1"
 
 
 @dataclass(frozen=True)
-class TrialLabel:
-    """Ground truth for one trial: background, or blacklist with a 0-based
-    detector index."""
-
-    utterance_id: str
-    truth_index: int | None = None
-
-    @property
-    def is_blacklist(self) -> bool:
-        return self.truth_index is not None
-
-
-@dataclass(frozen=True)
-class StackScore:
-    y_star: float
-    h_star: int
-
-
-@dataclass(frozen=True)
 class OperatingPoint:
     theta: float
     p_miss: float
@@ -66,13 +47,6 @@ class DetectorReport:
     eer: float | None
     eer_threshold: float | None
     counts: tuple[int, int]  # (#blacklist trials, #background trials)
-
-    @property
-    def operating_points(self) -> list[OperatingPoint]:
-        return [
-            OperatingPoint(float(t), float(m), float(f))
-            for t, m, f in zip(self.thetas, self.p_miss, self.p_fa)
-        ]
 
     def to_dict(self) -> dict:
         """JSON-ready dict; non-finite thresholds become 'inf'/'-inf' strings."""
@@ -97,40 +71,17 @@ class DetectorReport:
         }
 
 
-def stack_reduce(matrix: ScoreMatrix) -> list[StackScore]:
-    """Per trial: the maximum detector score and the lowest index attaining it."""
+def stack_reduce(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial: the maximum detector score and the lowest index attaining it.
+
+    Returns ``(y_star, h_star)`` arrays; ``bank.stack_scores`` reproduces them blockwise.
+    """
     if matrix.n_detectors < 1:
         raise ValueError("empty detector set")
     if matrix.n_trials < 1:
         raise ValueError("empty score matrix")
     scores = matrix.scores
-    y = scores.max(axis=1)
-    h = scores.argmax(axis=1)
-    return [StackScore(float(a), int(b)) for a, b in zip(y, h)]
-
-
-def _trial_arrays(stack: Sequence[StackScore], labels: Sequence[TrialLabel]):
-    if len(stack) != len(labels):
-        raise ValueError("stack scores and labels differ in length")
-    if not stack:
-        raise ValueError("no trials")
-    y = np.array([s.y_star for s in stack], dtype=np.float64)
-    h = np.array([s.h_star for s in stack], dtype=np.int64)
-    truth = np.array(
-        [-1 if l.truth_index is None else int(l.truth_index) for l in labels],
-        dtype=np.int64,
-    )
-    if (truth < -1).any():
-        raise ValueError("negative truth index")
-    is_bl = truth >= 0
-    n_bl = int(is_bl.sum())
-    n_bg = len(stack) - n_bl
-    if n_bl == 0:
-        raise ValueError("no blacklist trials")
-    if n_bg == 0:
-        raise ValueError("no background trials")
-    confused = is_bl & (h != truth)
-    return y, is_bl, confused, n_bl, n_bg
+    return scores.max(axis=1), scores.argmax(axis=1)
 
 
 def _grid(y: np.ndarray, thresholds) -> np.ndarray:
@@ -171,32 +122,33 @@ def _eer_scan(theta, p_miss, p_fa):
     return None, None
 
 
-def eer_from_points(points: Sequence[OperatingPoint]) -> tuple[float, float]:
-    """EER and its threshold from a theta-sorted operating-point list."""
-    if not points:
-        raise ValueError("no operating points")
-    theta = np.array([p.theta for p in points], dtype=np.float64)
-    if (np.diff(theta) < 0).any():
-        raise ValueError("operating points must be sorted by threshold")
-    p_miss = np.array([p.p_miss for p in points], dtype=np.float64)
-    p_fa = np.array([p.p_fa for p in points], dtype=np.float64)
-    eer, th = _eer_scan(theta, p_miss, p_fa)
-    if eer is None:
-        raise ValueError("miss and false-alarm rates never meet on these points")
-    return eer, th
-
-
 def sweep_both(
-    stack: Sequence[StackScore],
-    labels: Sequence[TrialLabel],
-    thresholds=None,
+    y_star, h_star, truth, thresholds=None
 ) -> tuple[DetectorReport, DetectorReport]:
     """Top-S and Top-1 sweeps from one counting pass.
 
-    The false-alarm column is computed once and shared, so the two reports
+    ``y_star`` and ``h_star`` are the trials' stack scores; ``truth`` holds
+    each trial's true detector index, or -1 for a background trial.  The
+    false-alarm column is computed once and shared, so the two reports
     agree on it exactly.
     """
-    y, is_bl, confused, n_bl, n_bg = _trial_arrays(stack, labels)
+    y = np.asarray(y_star, dtype=np.float64)
+    h = np.asarray(h_star, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if y.ndim != 1 or h.shape != y.shape or truth.shape != y.shape:
+        raise ValueError("stack scores and labels differ in length")
+    if not y.size:
+        raise ValueError("no trials")
+    if (truth < -1).any():
+        raise ValueError("negative truth index")
+    is_bl = truth >= 0
+    n_bl = int(is_bl.sum())
+    n_bg = y.size - n_bl
+    if n_bl == 0:
+        raise ValueError("no blacklist trials")
+    if n_bg == 0:
+        raise ValueError("no background trials")
+    confused = is_bl & (h != truth)
     grid = _grid(y, thresholds)
 
     bl_sorted = np.sort(y[is_bl])
@@ -218,16 +170,6 @@ def sweep_both(
         eer, th = _eer_scan(grid, p_miss, p_fa)
         reports.append(DetectorReport(mode, grid, p_miss, p_fa, eer, th, counts))
     return reports[0], reports[1]
-
-
-def sweep_top_s(stack, labels, thresholds=None) -> DetectorReport:
-    """Blacklist-membership sweep: miss if y* < theta, false alarm if y* > theta."""
-    return sweep_both(stack, labels, thresholds)[0]
-
-
-def sweep_top_1(stack, labels, thresholds=None) -> DetectorReport:
-    """Membership-and-identity sweep: confusions above threshold count as misses."""
-    return sweep_both(stack, labels, thresholds)[1]
 
 
 def det_points(report: DetectorReport, max_points: int) -> list[OperatingPoint]:

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bank import NORM_MODES, apply_mnorm, enroll, mnorm_stats_from_scores, score_all
+from .bank import NORM_MODES, enroll, mnorm_stats_from_scores, score_all, stack_scores
 from .data import EmbeddingSet, PartitionManifest, ScoreMatrix
-from .metrics import StackScore, TrialLabel, sweep_both
+from .metrics import sweep_both
 
 DEFAULT_DIMENSION = 600
 DEFAULT_SPEAKER_SPREAD = 1.0
@@ -187,8 +187,8 @@ def run_size_sweep(
 
     Each replicate draws a fresh population from a seed derived from
     (config.seed, replicate index), enrolls the full blacklist pool once,
-    scores the full test set once, and evaluates every requested size k on
-    the first k detectors: background trials are kept unchanged and
+    and evaluates every requested size k on the first k detectors in one
+    blockwise scoring pass: background trials are kept unchanged and
     blacklist trials are restricted to the k enrolled speakers.
     """
     sizes = [int(k) for k in sizes]
@@ -221,43 +221,32 @@ def run_size_sweep(
             replace(config, seed=seeds[r]), train_spec, empty_dev, test_spec
         )
         full_bank = enroll(pop.train)
-        scored = score_all(full_bank, pop.test, threads=threads)
         index = {spk: i for i, spk in enumerate(full_bank.speaker_ids)}
         truth = np.array(
             [-1 if s is None else index[s] for s in pop.test.speaker_ids],
             dtype=np.int64,
         )
-        cohort = (
-            score_all(full_bank, pop.train, threads=threads)
-            if norm_mode != "none"
-            else None
-        )
-        for ki, k in enumerate(sizes):
-            sub = ScoreMatrix(
-                scored.trial_ids, scored.detector_ids[:k], scored.scores[:, :k]
-            )
-            if cohort is not None:
-                rows = k * train_utts_per_speaker  # train is blacklist-only, speaker-major
-                stats = mnorm_stats_from_scores(
+        stats = None
+        if norm_mode != "none":
+            cohort = score_all(full_bank, pop.train, threads=threads)
+            stats = [
+                mnorm_stats_from_scores(  # train is blacklist-only, speaker-major
                     ScoreMatrix(
-                        cohort.trial_ids[:rows],
+                        cohort.trial_ids[: k * train_utts_per_speaker],
                         cohort.detector_ids[:k],
-                        cohort.scores[:rows, :k],
+                        cohort.scores[: k * train_utts_per_speaker, :k],
                     )
                 )
-                sub = apply_mnorm(sub, stats, norm_mode)
-            y = sub.scores.max(axis=1)
-            h = sub.scores.argmax(axis=1)
-            keep = np.flatnonzero(truth < k)  # backgrounds (-1) and enrolled speakers
-            stack = [StackScore(float(y[i]), int(h[i])) for i in keep]
-            labels = [
-                TrialLabel(
-                    pop.test.utterance_ids[i],
-                    None if truth[i] < 0 else int(truth[i]),
-                )
-                for i in keep
+                for k in sizes
             ]
-            top_s, top_1 = sweep_both(stack, labels)
+            del cohort  # not needed while the test set is scored
+        y_star, h_star = stack_scores(
+            full_bank, pop.test, sizes, stats, norm_mode, threads
+        )
+        del pop  # free this population before the next one is drawn
+        for ki, k in enumerate(sizes):
+            keep = truth < k  # backgrounds (-1) and enrolled speakers
+            top_s, top_1 = sweep_both(y_star[ki, keep], h_star[ki, keep], truth[keep])
             rep_s[r, ki] = top_s.eer
             rep_1[r, ki] = top_1.eer
 

@@ -23,7 +23,7 @@ from stackdet.data import (
     save_embeddings,
     validate_partition,
 )
-from stackdet.metrics import TrialLabel, stack_reduce, sweep_both
+from stackdet.metrics import stack_reduce, sweep_both
 from stackdet.synth import (
     PartitionSpec,
     PopulationConfig,
@@ -51,24 +51,23 @@ def random_labeled_instance(rng, n_trials, n_detectors):
         [f"d{j}" for j in range(n_detectors)],
         scores,
     )
-    stack = stack_reduce(matrix)
+    y, h = stack_reduce(matrix)
     truth = [
-        None if rng.uniform() < 0.5 else int(rng.integers(n_detectors))
+        -1 if rng.uniform() < 0.5 else int(rng.integers(n_detectors))
         for _ in range(n_trials)
     ]
-    if all(t is None for t in truth):
+    if all(t < 0 for t in truth):
         truth[0] = 0
-    if all(t is not None for t in truth):
-        truth[0] = None
-    labels = [TrialLabel(f"t{i}", t) for i, t in enumerate(truth)]
-    return stack, labels, truth
+    if all(t >= 0 for t in truth):
+        truth[0] = -1
+    return y, h, np.array(truth, dtype=np.int64)
 
 
 def enumeration_rates(y, h, truth, grid, mode):
     """Exhaustive oracle: indicator counts at every enumerated threshold."""
     y = np.asarray(y, float)
     h = np.asarray(h, int)
-    t = np.array([-1 if v is None else v for v in truth], int)
+    t = np.asarray(truth, int)
     bl = t >= 0
     confused = bl & (h != t)
     n_bl = int(bl.sum())
@@ -144,10 +143,8 @@ def test_criterion_metrics_oracle_equivalence_and_dominance():
     for case in range(20):
         n_trials = 10000 if case < 2 else int(rng.integers(200, 3001))
         n_det = int(rng.integers(1, 51))
-        stack, labels, truth = random_labeled_instance(rng, n_trials, n_det)
-        y = np.array([s.y_star for s in stack])
-        h = np.array([s.h_star for s in stack])
-        top_s, top_1 = sweep_both(stack, labels)
+        y, h, truth = random_labeled_instance(rng, n_trials, n_det)
+        top_s, top_1 = sweep_both(y, h, truth)
         for report, mode in ((top_s, "top_s"), (top_1, "top_1")):
             miss, fa = enumeration_rates(y, h, truth, report.thetas, mode)
             assert np.array_equal(report.p_miss, miss)
@@ -212,10 +209,9 @@ def test_criterion_confusion_micro_case():
         " -> Top-S detection, Top-1 confusion miss"
     ):
         matrix = ScoreMatrix(["t", "g"], ["spk1", "spk2"], [[0.5, 0.9], [0.1, 0.2]])
-        stack = stack_reduce(matrix)
-        assert stack[0].y_star == 0.9 and stack[0].h_star == 1
-        labels = [TrialLabel("t", 0), TrialLabel("g", None)]
-        top_s, top_1 = sweep_both(stack, labels, thresholds=[0.7])
+        y, h = stack_reduce(matrix)
+        assert y[0] == 0.9 and h[0] == 1
+        top_s, top_1 = sweep_both(y, h, [0, -1], thresholds=[0.7])
         assert top_s.p_miss[0] == 0.0  # detected: y* above threshold
         assert top_1.p_miss[0] == 1.0  # but attributed to the wrong detector
         assert top_s.p_fa[0] == 0.0 and top_1.p_fa[0] == 0.0

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackdet.bank import (
+    _CHUNK,
+    NORM_MODES,
     DetectorBank,
     MNormStats,
     apply_mnorm,
@@ -14,8 +16,10 @@ from stackdet.bank import (
     length_normalize,
     mnorm_stats_from_scores,
     score_all,
+    stack_scores,
 )
 from stackdet.data import EmbeddingSet, ScoreMatrix
+from stackdet.metrics import stack_reduce
 
 
 def naive_scores(bank, trials):
@@ -310,6 +314,94 @@ class TestDetectorBank:
 
     def test_models_view(self):
         b = enroll(EmbeddingSet(["u"], ["a"], [[0.0, 2.0]]))
-        (model,) = b.models
-        assert model.speaker_id == "a"
-        assert model.direction.tolist() == [0.0, 1.0]
+        assert b.speaker_ids == ("a",)
+        assert b.directions[0].tolist() == [0.0, 1.0]
+
+
+def kernel_case(seed, dim, n_unique, n_det, n_trials, sizes):
+    """Bank with duplicated directions (exact score ties), trials, per-size stats."""
+    rng = np.random.default_rng(seed)
+    unique = rng.standard_normal((n_unique, dim))
+    unique /= np.linalg.norm(unique, axis=1)[:, None]
+    pick = np.concatenate([np.arange(n_unique), rng.integers(n_unique, size=n_det - n_unique)])
+    bank = DetectorBank([f"d{j}" for j in range(n_det)], unique[rng.permutation(pick)])
+    trials = EmbeddingSet(
+        [f"t{i}" for i in range(n_trials)], [None] * n_trials,
+        rng.standard_normal((n_trials, dim)),
+    )
+    stats = [
+        MNormStats(rng.uniform(-1.0, 1.0, k), rng.uniform(0.1, 2.0, k), 1) for k in sizes
+    ]
+    return bank, trials, stats
+
+
+def assert_kernel_matches_dense(seed, dim, n_unique, n_det, n_trials, sizes, mode):
+    bank, trials, stats = kernel_case(seed, dim, n_unique, n_det, n_trials, sizes)
+    y1, h1 = stack_scores(bank, trials, sizes, stats, mode, threads=1)
+    y4, h4 = stack_scores(bank, trials, sizes, stats, mode, threads=4)
+    assert y1.shape == h1.shape == (len(sizes), n_trials)
+    assert y1.tobytes() == y4.tobytes()
+    assert h1.tobytes() == h4.tobytes()
+    dense = score_all(bank, trials)
+    for i, (k, st) in enumerate(zip(sizes, stats)):
+        sub = ScoreMatrix(dense.trial_ids, dense.detector_ids[:k], dense.scores[:, :k])
+        y, h = stack_reduce(apply_mnorm(sub, st, mode))
+        assert y.tobytes() == y1[i].tobytes()
+        assert h.astype(np.int64).tobytes() == h1[i].tobytes()
+
+
+class TestStackScores:
+    @pytest.mark.parametrize("mode", NORM_MODES)
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        n_unique=st.integers(1, 5),
+        extra=st.integers(0, 6),
+        n_trials=st.sampled_from([1, 2, 7, 40, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+        raw_sizes=st.lists(st.integers(1, 11), min_size=1, max_size=4),
+    )
+    def test_equals_dense_reference(self, mode, seed, dim, n_unique, extra, n_trials, raw_sizes):
+        n_det = n_unique + extra
+        sizes = sorted(min(k, n_det) for k in raw_sizes)  # nondecreasing, may repeat
+        assert_kernel_matches_dense(seed, dim, n_unique, n_det, n_trials, sizes, mode)
+
+    @pytest.mark.parametrize("n_trials", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_block_boundaries(self, n_trials):
+        for mode in NORM_MODES:
+            assert_kernel_matches_dense(7, 3, 2, 6, n_trials, [1, 2, 2, 6], mode)
+
+    def test_duplicate_directions_tie_to_lowest_index(self):
+        bank = DetectorBank(["a", "b", "c"], [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        trials = EmbeddingSet(["t"], [None], [[2.0, 0.0]])
+        y, h = stack_scores(bank, trials, [3])
+        assert (y[0, 0], h[0, 0]) == (1.0, 1)
+
+    def test_non_finite_normalized_scores_rejected(self):
+        bank, trials, _ = kernel_case(3, 4, 2, 3, 10, [3])
+        tiny = MNormStats(np.zeros(3), np.full(3, 1e-320), 1)  # scores overflow
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                apply_mnorm(score_all(bank, trials), tiny, "scale")
+            with pytest.raises(ValueError, match="non-finite"):
+                stack_scores(bank, trials, [3], [tiny], "scale")
+
+    def test_argument_checks(self):
+        bank, trials, stats = kernel_case(5, 4, 2, 3, 10, [2, 3])
+        with pytest.raises(ValueError, match=r"got \[\]"):
+            stack_scores(bank, trials, [])
+        with pytest.raises(ValueError, match=r"1\.\.3, got \[4\]"):
+            stack_scores(bank, trials, [4])
+        with pytest.raises(ValueError, match=r"1\.\.3, got \[0, 2\]"):
+            stack_scores(bank, trials, [0, 2])
+        with pytest.raises(ValueError, match="requires normalization statistics"):
+            stack_scores(bank, trials, [2, 3], None, "full")
+        with pytest.raises(ValueError, match="1 sets of normalization statistics for 2"):
+            stack_scores(bank, trials, [2, 3], stats[:1], "full")
+        with pytest.raises(ValueError, match="size mismatch"):
+            stack_scores(bank, trials, [3, 2], stats, "full")
+        with pytest.raises(ValueError, match="normalization mode"):
+            stack_scores(bank, trials, [2, 3], None, "zscore")
+        wide = EmbeddingSet(["t"], [None], [[1.0] * 5])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            stack_scores(bank, wide, [3])

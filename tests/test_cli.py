@@ -6,7 +6,7 @@ import pytest
 from stackdet import cli
 from stackdet.bank import apply_mnorm, compute_mnorm_stats, enroll, score_all
 from stackdet.data import load_scores, save_embeddings
-from stackdet.metrics import TrialLabel, stack_reduce, sweep_both
+from stackdet.metrics import stack_reduce, sweep_both
 from stackdet.synth import PartitionSpec, PopulationConfig, generate_population
 
 
@@ -197,11 +197,8 @@ class TestEval:
             score_all(b, pop.test), compute_mnorm_stats(b, train_bl), "full"
         )
         index = {s: i for i, s in enumerate(b.speaker_ids)}
-        labels = [
-            TrialLabel(u, None if s is None else index[s])
-            for u, s in zip(pop.test.utterance_ids, pop.test.speaker_ids)
-        ]
-        top_s, top_1 = sweep_both(stack_reduce(matrix), labels)
+        truth = [-1 if s is None else index[s] for s in pop.test.speaker_ids]
+        top_s, top_1 = sweep_both(*stack_reduce(matrix), truth)
         assert report["mode_reports"]["top_s"]["eer"] == top_s.eer
         assert report["mode_reports"]["top_1"]["eer"] == top_1.eer
         assert report["mode_reports"]["top_s"]["counts"] == [8, 30]
@@ -275,6 +272,74 @@ class TestEval:
         assert "not in the bank" in capsys.readouterr().err
 
 
+class TestMalformedBank:
+    @pytest.fixture
+    def broken_bank(self, bank_dir, tmp_path):
+        """Copy of the enrolled bank whose mnorm.json the test rewrites."""
+        out = tmp_path / "bank"
+        out.mkdir()
+        for name in ("bank.csv", "mnorm.json"):
+            (out / name).write_bytes((bank_dir / name).read_bytes())
+        return out
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("detector_ids"), "missing key 'detector_ids'"),
+            (lambda p: p.update(mu="zero"), "key 'mu' must be a list of numbers"),
+            (lambda p: p.update(cohort_size=2.5), "key 'cohort_size' must be an integer"),
+            (lambda p: p.update(schema_version=99), "unsupported schema_version 99"),
+            (lambda p: p.update(sigma=p["sigma"][:-1]), "mu and sigma"),
+        ],
+    )
+    def test_bad_mnorm_is_a_clean_error(self, workspace, broken_bank, tmp_path, capsys, edit, message):
+        root, _, _ = workspace
+        path = broken_bank / "mnorm.json"
+        payload = json.loads(path.read_text("utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        rc = cli.main(
+            [
+                "eval",
+                "--bank", str(broken_bank),
+                "--trials", str(root / "test_trials.csv"),
+                "--labels", str(root / "test_labels.csv"),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert str(path) in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestFlagsCheckedFirst:
+    def test_det_points_below_two_writes_nothing(self, workspace, bank_dir, tmp_path, capsys):
+        root, _, _ = workspace
+        out = tmp_path / "out"
+        rc = cli.main(
+            [
+                "eval",
+                "--bank", str(bank_dir),
+                "--trials", str(root / "test_trials.csv"),
+                "--labels", str(root / "test_labels.csv"),
+                "--out-dir", str(out),
+                "--det-points", "1",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --det-points")
+        assert not (out / "report.json").exists()
+
+    def test_save_bank_without_stats_writes_nothing(self, workspace, tmp_path):
+        _, _, train_bl = workspace
+        with pytest.raises(ValueError, match="normalization statistics"):
+            cli.save_bank(enroll(train_bl), tmp_path / "bank")
+        assert not (tmp_path / "bank").exists()
+
+
 class TestEvalFullScale:
     def test_full_benchmark_counts_match_library(self, tmp_path):
         # full trial/detector counts of the benchmark test partition
@@ -314,11 +379,8 @@ class TestEvalFullScale:
             score_all(b, pop.test), compute_mnorm_stats(b, pop.train), "full"
         )
         index = {s: i for i, s in enumerate(b.speaker_ids)}
-        labels = [
-            TrialLabel(u, None if s is None else index[s])
-            for u, s in zip(pop.test.utterance_ids, pop.test.speaker_ids)
-        ]
-        top_s, top_1 = sweep_both(stack_reduce(matrix), labels)
+        truth = [-1 if s is None else index[s] for s in pop.test.speaker_ids]
+        top_s, top_1 = sweep_both(*stack_reduce(matrix), truth)
         assert report["mode_reports"]["top_s"]["eer"] == top_s.eer
         assert report["mode_reports"]["top_1"]["eer"] == top_1.eer
         assert report["mode_reports"]["top_1"]["eer_threshold"] == top_1.eer_threshold

@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from stackdet.data import ScoreMatrix
 from stackdet.metrics import (
     OperatingPoint,
-    StackScore,
-    TrialLabel,
+    _eer_scan,
     det_points,
-    eer_from_points,
     save_det_points,
     stack_reduce,
     sweep_both,
-    sweep_top_1,
-    sweep_top_s,
 )
 
 # ---------------------------------------------------------------------------
@@ -29,8 +25,8 @@ def oracle_rates(y, h, truth, grid, mode):
     """Count misses/false alarms per threshold with explicit per-trial rules."""
     y = np.asarray(y, float)
     miss, fa = [], []
-    bl = [i for i, t in enumerate(truth) if t is not None]
-    bg = [i for i, t in enumerate(truth) if t is None]
+    bl = [i for i, t in enumerate(truth) if t >= 0]
+    bg = [i for i, t in enumerate(truth) if t < 0]
     for th in grid:
         m = 0
         for i in bl:
@@ -66,15 +62,15 @@ def oracle_eer_for(y, h, truth, mode):
 
 
 def make_trials(bl_scores, bg_scores):
-    """Stack scores and labels for confusion-free blacklist/background trials."""
-    stack, labels = [], []
-    for i, s in enumerate(bl_scores):
-        stack.append(StackScore(float(s), 0))
-        labels.append(TrialLabel(f"b{i}", 0))
-    for i, s in enumerate(bg_scores):
-        stack.append(StackScore(float(s), 0))
-        labels.append(TrialLabel(f"g{i}", None))
-    return stack, labels
+    """(y*, h*, truth) of confusion-free blacklist/background trials."""
+    y = np.concatenate([np.asarray(bl_scores, float), np.asarray(bg_scores, float)])
+    h = np.zeros(y.size, dtype=np.int64)
+    truth = np.array([0] * len(bl_scores) + [-1] * len(bg_scores), dtype=np.int64)
+    return y, h, truth
+
+
+def sweep_top_s(y, h, truth):
+    return sweep_both(y, h, truth)[0]
 
 
 def random_instance(rng, n_trials, n_detectors):
@@ -84,32 +80,31 @@ def random_instance(rng, n_trials, n_detectors):
         [f"d{j}" for j in range(n_detectors)],
         scores,
     )
-    stack = stack_reduce(matrix)
+    y, h = stack_reduce(matrix)
     truth = []
     for i in range(n_trials):
         if rng.uniform() < 0.5:
-            truth.append(None)
+            truth.append(-1)
         else:
             truth.append(int(rng.integers(n_detectors)))
-    if all(t is None for t in truth):
+    if all(t < 0 for t in truth):
         truth[0] = 0
-    if all(t is not None for t in truth):
-        truth[0] = None
-    labels = [TrialLabel(f"t{i}", t) for i, t in enumerate(truth)]
-    return stack, labels, truth
+    if all(t >= 0 for t in truth):
+        truth[0] = -1
+    return y, h, np.array(truth, dtype=np.int64)
 
 
 class TestStackReduce:
     def test_max_and_argmax(self):
         m = ScoreMatrix(["t"], ["d1", "d2"], [[0.5, 0.9]])
-        (s,) = stack_reduce(m)
-        assert s.y_star == 0.9
-        assert s.h_star == 1
+        (y,), (h,) = stack_reduce(m)
+        assert y == 0.9
+        assert h == 1
 
     def test_tie_breaks_to_lowest_index(self):
         m = ScoreMatrix(["t"], ["d1", "d2"], [[0.3, 0.3]])
-        (s,) = stack_reduce(m)
-        assert (s.y_star, s.h_star) == (0.3, 0)
+        (y,), (h,) = stack_reduce(m)
+        assert (y, h) == (0.3, 0)
 
     def test_matches_naive_scan(self):
         rng = np.random.default_rng(13)
@@ -117,13 +112,14 @@ class TestStackReduce:
         m = ScoreMatrix(
             [f"t{i}" for i in range(200)], [f"d{j}" for j in range(50)], scores
         )
-        for i, s in enumerate(stack_reduce(m)):
+        y, h = stack_reduce(m)
+        for i in range(200):
             best, arg = -np.inf, -1
             for j in range(50):
                 if scores[i, j] > best:
                     best, arg = scores[i, j], j
-            assert s.y_star == best
-            assert s.h_star == arg
+            assert y[i] == best
+            assert h[i] == arg
 
     def test_empty_matrix_rejected(self):
         m = ScoreMatrix([], ["d"], np.zeros((0, 1)))
@@ -133,16 +129,14 @@ class TestStackReduce:
 
 class TestSweepTopS:
     def test_separable_scores_give_zero_eer(self):
-        stack, labels = make_trials([0.9], [0.1])
-        assert sweep_top_s(stack, labels).eer == 0.0
+        y, h, truth = make_trials([0.9], [0.1])
+        assert sweep_top_s(y, h, truth).eer == 0.0
 
     def test_four_by_four_example(self):
         # frozen from the enumeration oracle: exact tie (0.25, 0.25) at 0.4
-        stack, labels = make_trials([0.9, 0.8, 0.7, 0.3], [0.6, 0.4, 0.2, 0.1])
-        y = [s.y_star for s in stack]
-        truth = [l.truth_index for l in labels]
+        y, h, truth = make_trials([0.9, 0.8, 0.7, 0.3], [0.6, 0.4, 0.2, 0.1])
         assert oracle_eer_for(y, [0] * 8, truth, "top_s") == 0.25
-        report = sweep_top_s(stack, labels)
+        report = sweep_top_s(y, h, truth)
         assert report.eer == 0.25
         assert report.eer_threshold == 0.4
 
@@ -151,26 +145,22 @@ class TestSweepTopS:
         # {0.1..0.9} under strict tie handling: the rates tie at (4/9, 4/9)
         # when the threshold sits on the median score.
         vals = [round(0.1 * k, 1) for k in range(1, 10)]
-        stack, labels = make_trials(vals, vals)
-        y = [s.y_star for s in stack]
-        truth = [l.truth_index for l in labels]
+        y, h, truth = make_trials(vals, vals)
         expected = oracle_eer_for(y, [0] * len(y), truth, "top_s")
         assert abs(expected - 4.0 / 9.0) < 1e-15
-        assert abs(sweep_top_s(stack, labels).eer - expected) < 1e-9
+        assert abs(sweep_top_s(y, h, truth).eer - expected) < 1e-9
 
     def test_symmetry_under_negation_and_relabel(self):
         rng = np.random.default_rng(99)
         bl = rng.standard_normal(37)
         bg = rng.standard_normal(61)
-        stack_a, labels_a = make_trials(bl, bg)
-        stack_b, labels_b = make_trials(-bg, -bl)
-        a = sweep_top_s(stack_a, labels_a).eer
-        b = sweep_top_s(stack_b, labels_b).eer
+        a = sweep_top_s(*make_trials(bl, bg)).eer
+        b = sweep_top_s(*make_trials(-bg, -bl)).eer
         assert abs(a - b) < 1e-12
 
     def test_rates_at_minus_infinity(self):
-        stack, labels = make_trials([0.5, 0.7], [0.2])
-        report = sweep_top_s(stack, labels)
+        y, h, truth = make_trials([0.5, 0.7], [0.2])
+        report = sweep_top_s(y, h, truth)
         assert report.thetas[0] == -np.inf
         assert report.p_miss[0] == 0.0
         assert report.p_fa[0] == 1.0
@@ -180,21 +170,20 @@ class TestSweepTopS:
 
     def test_monotone_rates(self):
         rng = np.random.default_rng(3)
-        stack, labels, _ = random_instance(rng, 400, 7)
-        report = sweep_top_s(stack, labels)
+        y, h, truth = random_instance(rng, 400, 7)
+        report = sweep_top_s(y, h, truth)
         assert (np.diff(report.p_miss) >= 0).all()
         assert (np.diff(report.p_fa) <= 0).all()
 
     def test_requires_both_trial_kinds(self):
-        stack = [StackScore(0.5, 0)]
         with pytest.raises(ValueError, match="no background trials"):
-            sweep_top_s(stack, [TrialLabel("t", 0)])
+            sweep_top_s([0.5], [0], [0])
         with pytest.raises(ValueError, match="no blacklist trials"):
-            sweep_top_s(stack, [TrialLabel("t", None)])
+            sweep_top_s([0.5], [0], [-1])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="differ in length"):
-            sweep_top_s([StackScore(0.1, 0)], [])
+            sweep_top_s([0.1], [0], [])
 
 
 class TestSweepTop1:
@@ -202,9 +191,7 @@ class TestSweepTop1:
         # blacklist trial of detector 0 whose best detector is 1: at a
         # threshold below y* the Top-S detector accepts, the Top-1 detector
         # counts a confusion miss
-        stack = [StackScore(0.9, 1), StackScore(0.1, 0)]
-        labels = [TrialLabel("t", 0), TrialLabel("g", None)]
-        top_s, top_1 = sweep_both(stack, labels, thresholds=[0.7])
+        top_s, top_1 = sweep_both([0.9, 0.1], [1, 0], [0, -1], thresholds=[0.7])
         assert top_s.p_miss[0] == 0.0
         assert top_1.p_miss[0] == 1.0
         assert top_s.p_fa[0] == 0.0
@@ -214,29 +201,24 @@ class TestSweepTop1:
         rng = np.random.default_rng(5)
         bl = rng.uniform(-1, 1, 25)
         bg = rng.uniform(-1, 1, 31)
-        stack, labels = make_trials(bl, bg)  # every h_star matches truth
-        top_s, top_1 = sweep_both(stack, labels)
+        y, h, truth = make_trials(bl, bg)  # every h_star matches truth
+        top_s, top_1 = sweep_both(y, h, truth)
         assert np.array_equal(top_s.p_miss, top_1.p_miss)
         assert top_s.eer == top_1.eer
 
     def test_miss_at_minus_infinity_is_confusion_rate(self):
-        stack = [
-            StackScore(0.5, 1),  # confused
-            StackScore(0.6, 0),  # correct
-            StackScore(0.2, 0),  # background
-        ]
-        labels = [TrialLabel("a", 0), TrialLabel("b", 0), TrialLabel("g", None)]
-        report = sweep_top_1(stack, labels)
+        y = [0.5, 0.6, 0.2]  # confused, correct, background
+        h = [1, 0, 0]
+        truth = [0, 0, -1]
+        report = sweep_both(y, h, truth)[1]
         assert report.thetas[0] == -np.inf
         assert report.p_miss[0] == 0.5
         assert report.p_fa[0] == 1.0
 
     def test_matches_per_trial_oracle_everywhere(self):
         rng = np.random.default_rng(516)
-        stack, labels, truth = random_instance(rng, 500, 20)
-        y = [s.y_star for s in stack]
-        h = [s.h_star for s in stack]
-        top_s, top_1 = sweep_both(stack, labels)
+        y, h, truth = random_instance(rng, 500, 20)
+        top_s, top_1 = sweep_both(y, h, truth)
         for report, mode in ((top_s, "top_s"), (top_1, "top_1")):
             miss, fa = oracle_rates(y, h, truth, report.thetas, mode)
             assert np.array_equal(report.p_miss, miss)
@@ -245,8 +227,8 @@ class TestSweepTop1:
     def test_dominance_and_shared_false_alarms(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
-            stack, labels, _ = random_instance(rng, 300, 9)
-            top_s, top_1 = sweep_both(stack, labels)
+            y, h, truth = random_instance(rng, 300, 9)
+            top_s, top_1 = sweep_both(y, h, truth)
             assert (top_1.p_miss >= top_s.p_miss).all()
             assert np.array_equal(top_1.p_fa, top_s.p_fa)
             assert top_1.eer >= top_s.eer - 1e-12
@@ -255,38 +237,24 @@ class TestSweepTop1:
 
 class TestEerFromPoints:
     def test_exact_tie_returned_directly(self):
-        points = [
-            OperatingPoint(0.1, 0.0, 0.9),
-            OperatingPoint(0.4, 0.25, 0.25),
-            OperatingPoint(0.9, 1.0, 0.0),
-        ]
-        assert eer_from_points(points) == (0.25, 0.4)
+        theta = np.array([0.1, 0.4, 0.9])
+        p_miss = np.array([0.0, 0.25, 1.0])
+        p_fa = np.array([0.9, 0.25, 0.0])
+        assert _eer_scan(theta, p_miss, p_fa) == (0.25, 0.4)
 
     def test_interpolated_crossing(self):
-        points = [
-            OperatingPoint(0.0, 0.0, 1.0),
-            OperatingPoint(1.0, 0.4, 0.6),
-            OperatingPoint(2.0, 0.6, 0.4),
-            OperatingPoint(3.0, 1.0, 0.0),
-        ]
-        eer, theta = eer_from_points(points)
+        thetas = np.array([0.0, 1.0, 2.0, 3.0])
+        p_miss = np.array([0.0, 0.4, 0.6, 1.0])
+        p_fa = np.array([1.0, 0.6, 0.4, 0.0])
+        eer, theta = _eer_scan(thetas, p_miss, p_fa)
         assert abs(eer - 0.5) < 1e-12
         assert abs(theta - 1.5) < 1e-12
 
-    def test_empty_points_rejected(self):
-        with pytest.raises(ValueError, match="no operating points"):
-            eer_from_points([])
-
-    def test_unsorted_points_rejected(self):
-        points = [OperatingPoint(1.0, 0.2, 0.3), OperatingPoint(0.0, 0.1, 0.9)]
-        with pytest.raises(ValueError, match="sorted"):
-            eer_from_points(points)
-
     def test_matches_sweep_reports(self):
         rng = np.random.default_rng(8)
-        stack, labels, _ = random_instance(rng, 150, 5)
-        report = sweep_top_s(stack, labels)
-        eer, theta = eer_from_points(report.operating_points)
+        y, h, truth = random_instance(rng, 150, 5)
+        report = sweep_top_s(y, h, truth)
+        eer, theta = _eer_scan(report.thetas, report.p_miss, report.p_fa)
         assert eer == report.eer
         assert theta == report.eer_threshold
 
@@ -296,13 +264,9 @@ class TestRankInvariance:
     @given(st.integers(0, 2**32 - 1))
     def test_eer_invariant_under_monotone_transform(self, seed):
         rng = np.random.default_rng(seed)
-        stack, labels, _ = random_instance(rng, 80, 4)
-        transformed = [
-            StackScore(math.atan(s.y_star) * 2.0 + s.y_star, s.h_star) for s in stack
-        ]
-        for sweep in (sweep_top_s, sweep_top_1):
-            a = sweep(stack, labels)
-            b = sweep(transformed, labels)
+        y, h, truth = random_instance(rng, 80, 4)
+        transformed = np.array([math.atan(v) * 2.0 + v for v in y])
+        for a, b in zip(sweep_both(y, h, truth), sweep_both(transformed, h, truth)):
             assert a.eer == b.eer
             assert np.array_equal(a.p_miss, b.p_miss)
             assert np.array_equal(a.p_fa, b.p_fa)
@@ -310,8 +274,8 @@ class TestRankInvariance:
 
 class TestDetPoints:
     def small_report(self):
-        stack, labels = make_trials([0.9, 0.7], [0.2])
-        return sweep_top_s(stack, labels)
+        y, h, truth = make_trials([0.9, 0.7], [0.2])
+        return sweep_top_s(y, h, truth)
 
     def test_small_report_returned_whole(self):
         report = self.small_report()
@@ -320,10 +284,10 @@ class TestDetPoints:
 
     def test_downsampled_keeps_endpoints_and_eer(self):
         rng = np.random.default_rng(31)
-        stack, labels = make_trials(
+        y, h, truth = make_trials(
             rng.standard_normal(5000), rng.standard_normal(5000) - 1.0
         )
-        report = sweep_top_s(stack, labels)
+        report = sweep_top_s(y, h, truth)
         pts = det_points(report, 100)
         assert len(pts) <= 100
         assert pts[0].theta == report.thetas[0]
@@ -336,10 +300,10 @@ class TestDetPoints:
 
     def test_resampling_error_bound(self):
         rng = np.random.default_rng(77)
-        stack, labels = make_trials(
+        y, h, truth = make_trials(
             rng.standard_normal(5000) + 0.5, rng.standard_normal(5000)
         )
-        for report in sweep_both(stack, labels):
+        for report in sweep_both(y, h, truth):
             pts = det_points(report, 501)
             xs = np.array([p.theta for p in pts])
             keep = np.isfinite(xs)
@@ -365,8 +329,8 @@ class TestDetPoints:
 
 class TestReportSerialization:
     def test_to_dict_is_json_ready(self):
-        stack, labels = make_trials([0.9, 0.7], [0.2])
-        report = sweep_top_s(stack, labels)
+        y, h, truth = make_trials([0.9, 0.7], [0.2])
+        report = sweep_top_s(y, h, truth)
         payload = report.to_dict()
         text = json.dumps(payload, sort_keys=True)
         back = json.loads(text)
