@@ -113,7 +113,10 @@ def load_bank(bank_dir) -> bank_mod.DetectorBank:
     if not bank_path.exists():
         raise ValueError(f"no {BANK_FILE} in {bank_dir}")
     as_set = data.load_embeddings(bank_path)
-    b = bank_mod.DetectorBank(as_set.utterance_ids, as_set.vectors)
+    try:
+        b = bank_mod.DetectorBank(as_set.utterance_ids, as_set.vectors)
+    except ValueError as exc:
+        raise data.DataFormatError(f"{bank_path}: {exc}") from None
     stats_path = bank_dir / MNORM_FILE
     if stats_path.exists():
         b = _with_mnorm(b, stats_path)
@@ -124,7 +127,7 @@ def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int]:
     """Label CSV rows are ``utterance_id,truth`` with ``-`` (index -1) for background."""
     index = {spk: i for i, spk in enumerate(b.speaker_ids)}
     mapping: dict[str, int] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as f:
+    with data.open_text(path) as f:
         for rownum, rec in enumerate(csv.reader(f), start=1):
             if len(rec) != 2:
                 raise data.DataFormatError(

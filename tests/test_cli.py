@@ -315,6 +315,90 @@ class TestMalformedBank:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda rows: [
+                    rows[0][:2] + [repr(2 * float(v)) for v in rows[0][2:]],
+                    *rows[1:],
+                ],
+                "is not unit length",
+            ),
+            (lambda rows: [rows[0], [rows[0][0], *rows[1][1:]], *rows[2:]], "duplicate utterance id"),
+            (lambda rows: [rows[0][:2] + ["nan"] + rows[0][3:], *rows[1:]], "non-finite value"),
+        ],
+    )
+    def test_bad_bank_csv_is_a_clean_error(self, workspace, broken_bank, tmp_path, capsys, edit, message):
+        root, _, _ = workspace
+        path = broken_bank / "bank.csv"
+        rows = [line.split(",") for line in path.read_text("utf-8").splitlines()]
+        path.write_text("".join(",".join(r) + "\n" for r in edit(rows)), encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        rc = cli.main(
+            ["score", "--bank", str(broken_bank), "--trials", str(root / "test_trials.csv"), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert str(path) in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def _with_bad_byte(src, dst, at=40):
+    """Copy of ``src`` with a 0xff byte (never valid UTF-8) at offset ``at``."""
+    raw = src.read_bytes()
+    dst.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    return dst
+
+
+class TestNotUtf8:
+    def check(self, argv, bad, output, capsys, at=40):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {bad}: line 1, byte {at}: not valid UTF-8")
+        assert "Traceback" not in err
+        assert not output.exists()
+
+    def test_trials(self, workspace, bank_dir, tmp_path, capsys):
+        root, _, _ = workspace
+        bad = _with_bad_byte(root / "test_trials.csv", tmp_path / "trials.csv")
+        out = tmp_path / "scores.csv"
+        argv = ["score", "--bank", str(bank_dir), "--trials", str(bad), "--out", str(out)]
+        self.check(argv, bad, out, capsys)
+
+    def test_train(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        bad = _with_bad_byte(root / "train_blacklist.csv", tmp_path / "train.csv")
+        out = tmp_path / "bank"
+        self.check(["enroll", "--train", str(bad), "--out-dir", str(out)], bad, out, capsys)
+
+    def test_bank_csv(self, workspace, bank_dir, tmp_path, capsys):
+        root, _, _ = workspace
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        (bank / "mnorm.json").write_bytes((bank_dir / "mnorm.json").read_bytes())
+        bad = _with_bad_byte(bank_dir / "bank.csv", bank / "bank.csv")
+        out = tmp_path / "scores.csv"
+        argv = ["score", "--bank", str(bank), "--trials", str(root / "test_trials.csv"), "--out", str(out)]
+        self.check(argv, bad, out, capsys)
+
+    def test_labels(self, workspace, bank_dir, tmp_path, capsys):
+        root, _, _ = workspace
+        bad = _with_bad_byte(root / "test_labels.csv", tmp_path / "labels.csv", at=10)
+        out = tmp_path / "out"
+        argv = [
+            "eval",
+            "--bank", str(bank_dir),
+            "--trials", str(root / "test_trials.csv"),
+            "--labels", str(bad),
+            "--out-dir", str(out),
+        ]
+        self.check(argv, bad, out, capsys, at=10)
+
+
 class TestFlagsCheckedFirst:
     def test_det_points_below_two_writes_nothing(self, workspace, bank_dir, tmp_path, capsys):
         root, _, _ = workspace

@@ -1,8 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackdet import data
 from stackdet.data import (
     DataFormatError,
     EmbeddingSet,
@@ -70,6 +74,38 @@ class TestLoadEmbeddings:
         es = load_embeddings(write(tmp_path / "e.csv", lines))
         assert es.utterance_ids == tuple(f"u{i}" for i in range(20, 0, -1))
 
+    def test_plain_file_takes_the_block_path(self, tmp_path):
+        p = write(tmp_path / "e.csv", "u1,spk1,1.0,2.0\nu2,-,0.5,0.25\n")
+        fast = data._load_blocks(p, None)
+        assert fast is not None and fast == data._load_rows(p, None)
+
+    def test_loop_parses_what_numpy_declines(self, tmp_path):
+        # float() accepts digit underscores; numpy's reader does not
+        p = write(tmp_path / "e.csv", "u1,a,1_0,2.0\nu2,a,0.5,3\n")
+        assert data._load_blocks(p, None) is None
+        assert load_embeddings(p).vectors.tolist() == [[10.0, 2.0], [0.5, 3.0]]
+
+    def test_crlf_and_quoted_files_load_like_plain(self, tmp_path):
+        plain = load_embeddings(write(tmp_path / "a.csv", "u1,a,1.0,2.0\nu2,b,3.0,4.0\n"))
+        crlf = tmp_path / "b.csv"
+        crlf.write_bytes(b'"u1",a,1.0,2.0\r\nu2,"b",3.0,4.0\r\n')
+        assert load_embeddings(crlf) == plain
+
+    def test_error_at_a_block_boundary_names_its_row(self, tmp_path, monkeypatch):
+        lines = [f"u{i},a,{i}.5,1.0\n" for i in range(6)]
+        lines[3] = "u3,a,1.0\n"
+        p = write(tmp_path / "e.csv", "".join(lines))
+        monkeypatch.setattr(data, "_BLOCK_CHARS", len("".join(lines[:3])))
+        with pytest.raises(DataFormatError, match="row 4: 1 values, expected 2"):
+            load_embeddings(p)
+
+    def test_not_utf8_names_file_line_and_byte(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_bytes(b"u1,a,1.0\nu2,a,2\xff.0\n")
+        with pytest.raises(DataFormatError) as info:
+            load_embeddings(p)
+        assert str(info.value) == f"{p}: line 2, byte 15: not valid UTF-8 (invalid start byte)"
+
     def test_benchmark_shaped_train_counts(self, tmp_path, benchmark_population_small_dim):
         train = benchmark_population_small_dim.train
         save_embeddings(train, tmp_path / "train.csv")
@@ -77,6 +113,109 @@ class TestLoadEmbeddings:
         assert len(loaded) == 41845
         labeled = {s for s in loaded.speaker_ids if s is not None}
         assert len(labeled) == 3631 + 5000
+
+
+# Value tokens: shortest reprs, long decimal literals (rounding), and the
+# spellings float() and numpy's reader treat alike or differently.
+_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.from_regex(r"\A[+-]?[0-9]{1,25}(\.[0-9]{0,25})?([eE][+-]?[0-9]{1,2})?\Z"),
+    st.sampled_from(["-0.0", "5e-324", "2.2250738585072011e-308", ".5", "5.", "1E5"]),
+)
+_ID = st.text(alphabet="ab1_-é #", min_size=1, max_size=5)
+
+
+def _first_value(make):
+    """Row defect that rewrites the first value, if the row still has one."""
+    return lambda r: [*r[:2], make(r[2]), *r[3:]] if len(r) > 2 else r
+
+
+# row defects: row -> row, where a row is [utt, spk, *values]
+_ROW_DEFECTS = {
+    "quoted_id": lambda r: [r[0] + ',"q', *r[1:]],
+    "quote_in_id": lambda r: [r[0] + '"', *r[1:]],
+    "quoted_speaker": lambda r: [r[0], 's,"2', *r[2:]],
+    "hash": _first_value(lambda v: "#" + v),
+    "nan": _first_value(lambda v: "nan"),
+    "inf": _first_value(lambda v: "-inf"),
+    "overflow": _first_value(lambda v: "1e999"),
+    "underscore": _first_value(lambda v: "1_0"),
+    "arabic_digit": _first_value(lambda v: "\u0661"),
+    "spaces": _first_value(lambda v: " " + v + "\t"),
+    "extra_value": lambda r: [*r, "1.5"],
+    "missing_value": lambda r: r[:-1],
+    "empty_id": lambda r: ["", *r[1:]],
+    "empty_speaker": lambda r: [r[0], "", *r[2:]],
+    "empty_value": _first_value(lambda v: ""),
+}
+# line defects, applied to the written text: (lines, i) -> lines
+_LINE_DEFECTS = {
+    "blank_line": lambda ls, i: ls[:i] + [""] + ls[i:],
+    "trailing_comma": lambda ls, i: ls[:i] + [ls[i] + ","] + ls[i + 1:],
+    "duplicate_id": lambda ls, i: ls[:i] + [ls[0]] + ls[i + 1:],
+    "short_row": lambda ls, i: ls[:i] + ["u,-"] + ls[i + 1:],
+}
+_DEFECTS = sorted(
+    [*_ROW_DEFECTS, *_LINE_DEFECTS, "crlf", "no_final_newline", "not_utf8", "wrong_expected_dimension"]
+)
+
+
+class TestFastPathEqualsLoop:
+    """load_embeddings, numpy blocks first, equals the csv row loop alone."""
+
+    @staticmethod
+    def outcome(load, path, expected_dimension):
+        try:
+            return load(path, expected_dimension)
+        except DataFormatError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("defect", [None, *_DEFECTS])
+    @settings(deadline=None, max_examples=25)
+    @given(
+        ids=st.lists(_ID, min_size=1, max_size=9, unique=True),
+        dim=st.integers(min_value=1, max_value=4),
+        data_=st.data(),
+    )
+    def test_same_set_or_same_error(self, tmp_path_factory, defect, ids, dim, data_):
+        draw = data_.draw
+        # the parametrized defect, and sometimes a second one on the same row
+        defects = {defect, draw(st.sampled_from([None, None, None, *_DEFECTS]))} - {None}
+        rows = [
+            [utt, draw(st.sampled_from(["-", "s1", "s2"]))]
+            + draw(st.lists(_VALUE, min_size=dim, max_size=dim))
+            for utt in ids
+        ]
+        bad = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        for name in sorted(defects & _ROW_DEFECTS.keys()):
+            rows[bad] = _ROW_DEFECTS[name](rows[bad])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        lines = buf.getvalue().split("\n")[:-1]
+        for name in sorted(defects & _LINE_DEFECTS.keys()):
+            lines = _LINE_DEFECTS[name](lines, bad)
+        eol = "\r\n" if "crlf" in defects else "\n"
+        raw = (eol.join(lines) + ("" if "no_final_newline" in defects else eol)).encode("utf-8")
+        if "not_utf8" in defects:
+            at = len("".join(line + eol for line in lines[:bad]).encode("utf-8"))
+            at += draw(st.integers(min_value=0, max_value=3))
+            raw = raw[:at] + b"\xff" + raw[at:]
+        expected = dim + 1 if "wrong_expected_dimension" in defects else draw(st.sampled_from([None, dim]))
+        path = tmp_path_factory.mktemp("fast") / "e.csv"
+        path.write_bytes(raw)
+
+        # end the first block one line before, at, or one line after the bad row
+        cut = min(max(bad + draw(st.sampled_from([-1, 0, 1])), 1), len(lines))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_CHARS", sum(len(line) + len(eol) for line in lines[:cut]))
+            fast = self.outcome(load_embeddings, path, expected)
+            if defects <= {"no_final_newline"}:
+                assert data._load_blocks(path, expected) is not None
+        loop = self.outcome(data._load_rows, path, expected)
+        assert type(fast) is type(loop)
+        assert fast == loop
+        if isinstance(loop, EmbeddingSet):
+            assert fast.vectors.view(np.uint64).tobytes() == loop.vectors.view(np.uint64).tobytes()
 
 
 class TestEmbeddingRoundTrip:
@@ -155,6 +294,12 @@ class TestScoreMatrix:
     def test_load_rejects_bad_header(self, tmp_path):
         p = write(tmp_path / "s.csv", "nope,d1\nt1,0.5\n")
         with pytest.raises(DataFormatError, match="utterance_id"):
+            load_scores(p)
+
+    def test_load_rejects_non_utf8(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"utterance_id,d1\nt1,0.\xff5\n")
+        with pytest.raises(DataFormatError, match=r"s\.csv: line 2, byte 21: not valid UTF-8"):
             load_scores(p)
 
     def test_load_rejects_ragged_row(self, tmp_path):
