@@ -15,6 +15,7 @@ from .bank import (
     length_normalize,
     mnorm_stats_from_scores,
     score_all,
+    score_blocks,
     stack_scores,
 )
 from .data import (

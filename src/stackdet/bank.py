@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -238,12 +238,16 @@ def _check_mnorm(stats: MNormStats | None, n_detectors: int, mode: str) -> None:
         )
 
 
-def _mnorm(scores: np.ndarray, stats: MNormStats, mode: str) -> np.ndarray:
+def _mnorm(
+    scores: np.ndarray, stats: MNormStats, mode: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """M-Norm of ``scores`` into ``out`` (a new array when None; may be ``scores``)."""
     if mode == "full":
-        return (scores - stats.mu) / stats.sigma
+        out = np.subtract(scores, stats.mu, out=out)
+        return np.divide(out, stats.sigma, out=out)
     if mode == "shift":
-        return scores - stats.mu
-    return scores / stats.sigma
+        return np.subtract(scores, stats.mu, out=out)
+    return np.divide(scores, stats.sigma, out=out)
 
 
 def apply_mnorm(
@@ -297,7 +301,10 @@ def stack_scores(
             scores = block[:, :k]
             # cosines of finite unit vectors are finite; only M-Norm can overflow
             if mode != "none":
-                scores = _mnorm(scores, st, mode)
+                # the last size may overwrite a whole block that no size reads again;
+                # otherwise a contiguous output, never a strided view of the block
+                last = i == len(sizes) - 1 and k == block.shape[1]
+                scores = _mnorm(scores, st, mode, out=block if last else np.empty((b - a, k)))
                 if not np.isfinite(scores).all():
                     raise ValueError("scores contain non-finite values")
             y_star[i, a:b] = scores.max(axis=1)
@@ -305,3 +312,29 @@ def stack_scores(
 
     _map_blocks(len(trials), threads, run)
     return y_star, h_star
+
+
+def score_blocks(
+    bank: DetectorBank,
+    trials: EmbeddingSet,
+    stats: MNormStats | None = None,
+    mode: str = "none",
+) -> Iterator[ScoreMatrix]:
+    """``apply_mnorm(score_all(bank, trials), stats, mode)`` as consecutive trial blocks.
+
+    Each block is one fixed ``_CHUNK``-row span, scored and normalized in
+    place when it is requested, so only one block is held at a time.  No
+    trials give one empty block.  A block with a non-finite score raises.
+    """
+    _check_mnorm(stats, len(bank), mode)
+    probes = _probes(bank, trials)
+
+    def blocks() -> Iterator[ScoreMatrix]:
+        for a in range(0, max(len(trials), 1), _CHUNK):
+            b = a + _CHUNK
+            block = probes[a:b] @ bank.directions.T
+            if mode != "none":
+                _mnorm(block, stats, mode, out=block)
+            yield ScoreMatrix(trials.utterance_ids[a:b], bank.speaker_ids, block)
+
+    return blocks()

@@ -10,7 +10,6 @@ and a nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -55,7 +54,7 @@ def save_bank(b: bank_mod.DetectorBank, out_dir: Path) -> None:
         "mu": [float(v) for v in b.mnorm.mu],
         "sigma": [float(v) for v in b.mnorm.sigma],
     }
-    with (out_dir / MNORM_FILE).open("w", encoding="utf-8", newline="") as f:
+    with data.open_output(out_dir / MNORM_FILE) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -128,7 +127,7 @@ def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int]:
     index = {spk: i for i, spk in enumerate(b.speaker_ids)}
     mapping: dict[str, int] = {}
     with data.open_text(path) as f:
-        for rownum, rec in enumerate(csv.reader(f), start=1):
+        for rownum, rec in data.csv_records(f, path):
             if len(rec) != 2:
                 raise data.DataFormatError(
                     f"{path}: row {rownum}: expected utterance_id,truth"
@@ -172,11 +171,9 @@ def cmd_score(args) -> int:
     b = load_bank(args.bank)
     stats = _mnorm_for(b, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
-    matrix = bank_mod.apply_mnorm(
-        bank_mod.score_all(b, trials, threads=args.threads), stats, args.norm_mode
-    )
-    data.save_scores(matrix, args.out)
-    print(f"scored trials={matrix.n_trials} detectors={matrix.n_detectors}")
+    # one trial block at a time: BLAS threads the product, so --threads is unused
+    data.save_scores(bank_mod.score_blocks(b, trials, stats, args.norm_mode), args.out)
+    print(f"scored trials={len(trials)} detectors={len(b)}")
     return 0
 
 

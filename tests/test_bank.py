@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackdet import bank as bank_mod
 from stackdet.bank import (
     _CHUNK,
     NORM_MODES,
@@ -16,6 +17,7 @@ from stackdet.bank import (
     length_normalize,
     mnorm_stats_from_scores,
     score_all,
+    score_blocks,
     stack_scores,
 )
 from stackdet.data import EmbeddingSet, ScoreMatrix
@@ -405,3 +407,48 @@ class TestStackScores:
         wide = EmbeddingSet(["t"], [None], [[1.0] * 5])
         with pytest.raises(ValueError, match="dimension mismatch"):
             stack_scores(bank, wide, [3])
+
+
+class TestInPlaceMNorm:
+    @pytest.mark.parametrize("sizes", [[6], [2, 3, 6, 6], [6, 2], [1, 1, 4]])
+    def test_each_size_gets_a_contiguous_output(self, monkeypatch, sizes):
+        outs = []
+        real = bank_mod._mnorm
+
+        def spy(scores, stats, mode, out=None):
+            outs.append(out)
+            return real(scores, stats, mode, out)
+
+        monkeypatch.setattr(bank_mod, "_mnorm", spy)
+        bank, trials, stats = kernel_case(11, 3, 2, 6, 5, sizes)
+        y, h = stack_scores(bank, trials, sizes, stats, "full")
+        assert [out.shape for out in outs] == [(5, k) for k in sizes]
+        assert all(out.flags.c_contiguous for out in outs)
+        monkeypatch.setattr(bank_mod, "_mnorm", real)
+        assert_kernel_matches_dense(11, 3, 2, 6, 5, sizes, "full")
+
+
+class TestScoreBlocks:
+    @pytest.mark.parametrize("n_trials", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("mode", NORM_MODES)
+    def test_blocks_concatenate_to_the_dense_matrix(self, n_trials, mode):
+        bank, trials, (stats,) = kernel_case(13, 3, 2, 5, n_trials, [5])
+        blocks = list(score_blocks(bank, trials, stats, mode))
+        assert [len(b.trial_ids) for b in blocks] == [
+            min(_CHUNK, n_trials - a) for a in range(0, n_trials, _CHUNK)
+        ]
+        dense = apply_mnorm(score_all(bank, trials), stats, mode)
+        assert sum((b.trial_ids for b in blocks), ()) == dense.trial_ids
+        assert np.concatenate([b.scores for b in blocks]).tobytes() == dense.scores.tobytes()
+
+    def test_no_trials_give_one_empty_block(self):
+        bank, trials, _ = kernel_case(13, 3, 2, 5, 0, [5])
+        (block,) = score_blocks(bank, trials)
+        assert block.scores.shape == (0, 5)
+
+    def test_arguments_checked_before_the_first_block(self):
+        bank, trials, _ = kernel_case(13, 3, 2, 5, 4, [5])
+        with pytest.raises(ValueError, match="requires normalization statistics"):
+            score_blocks(bank, trials, None, "full")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            score_blocks(bank, EmbeddingSet(["t"], [None], [[1.0, 0.0]]))

@@ -1,11 +1,14 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from stackdet import bank as bank_mod
 from stackdet import cli
 from stackdet.bank import apply_mnorm, compute_mnorm_stats, enroll, score_all
-from stackdet.data import load_scores, save_embeddings
+from stackdet.data import EmbeddingSet, load_scores, save_embeddings
 from stackdet.metrics import stack_reduce, sweep_both
 from stackdet.synth import PartitionSpec, PopulationConfig, generate_population
 
@@ -168,6 +171,55 @@ class TestScore:
         full = load_scores(tmp_path / "full.csv")
         assert raw.detector_ids == full.detector_ids
         assert not np.array_equal(raw.scores, full.scores)
+
+
+def reference_score_csv(matrix) -> bytes:
+    """A score CSV as csv.writer writes it, each value as ``repr(float(x))``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["utterance_id", *matrix.detector_ids])
+    for utt, row in zip(matrix.trial_ids, matrix.scores):
+        w.writerow([utt, *(repr(float(x)) for x in row)])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestStreamedScore:
+    CHUNK = 4
+
+    @pytest.mark.parametrize("n_trials", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("mode", bank_mod.NORM_MODES)
+    def test_equals_dense_reference(self, workspace, bank_dir, tmp_path, monkeypatch, n_trials, mode):
+        root, pop, _ = workspace
+        monkeypatch.setattr(bank_mod, "_CHUNK", self.CHUNK)
+        trials = pop.test.subset(range(n_trials))
+        save_embeddings(trials, tmp_path / "trials.csv")
+        out = tmp_path / "scores.csv"
+        argv = ["score", "--bank", str(bank_dir), "--trials", str(tmp_path / "trials.csv")]
+        assert cli.main(argv + ["--out", str(out), "--norm-mode", mode]) == 0
+        b = cli.load_bank(bank_dir)
+        expected = apply_mnorm(score_all(b, trials), b.mnorm, mode)
+        assert out.read_bytes() == reference_score_csv(expected)
+
+    def test_overflow_in_a_later_block_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bank_mod, "_CHUNK", 2)
+        b = bank_mod.DetectorBank(("d1", "d2"), [[1.0, 0.0], [0.0, 1.0]])
+        # d2's scores overflow unless they are exactly 0
+        stats = bank_mod.MNormStats(np.zeros(2), np.array([1.0, 5e-324]), 3)
+        cli.save_bank(b.with_mnorm(stats), tmp_path / "bank")
+        # the first block is orthogonal to d2; the second is not
+        trials = EmbeddingSet(["t1", "t2", "t3"], [None] * 3, [[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+        save_embeddings(trials, tmp_path / "trials.csv")
+        out = tmp_path / "scores.csv"
+        out.write_bytes(b"old scores\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = ["score", "--bank", str(tmp_path / "bank"), "--trials", str(tmp_path / "trials.csv")]
+        with np.errstate(over="ignore"):
+            rc = cli.main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: scores contain non-finite values\n"
+        assert out.read_bytes() == b"old scores\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestEval:
@@ -397,6 +449,42 @@ class TestNotUtf8:
             "--out-dir", str(out),
         ]
         self.check(argv, bad, out, capsys, at=10)
+
+
+class TestOversizedField:
+    """A field over csv.field_size_limit() is a clean error naming the file and row."""
+
+    BIG = "u" * 140_000
+
+    def check(self, argv, bad, row, output, capsys):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {bad}: row {row}: field larger than field limit")
+        assert "Traceback" not in err
+        assert not output.exists()
+
+    def test_train(self, tmp_path, capsys):
+        bad = tmp_path / "train.csv"
+        bad.write_text(f"{self.BIG},spk,1.0,0.0\n", encoding="utf-8")
+        out = tmp_path / "bank"
+        self.check(["enroll", "--train", str(bad), "--out-dir", str(out)], bad, 1, out, capsys)
+
+    def test_labels(self, workspace, bank_dir, tmp_path, capsys):
+        root, _, _ = workspace
+        bad = tmp_path / "labels.csv"
+        labels = (root / "test_labels.csv").read_text(encoding="utf-8")
+        bad.write_text(labels + f"{self.BIG},-\n", encoding="utf-8")
+        row = labels.count("\n") + 1
+        out = tmp_path / "out"
+        argv = [
+            "eval",
+            "--bank", str(bank_dir),
+            "--trials", str(root / "test_trials.csv"),
+            "--labels", str(bad),
+            "--out-dir", str(out),
+        ]
+        self.check(argv, bad, row, out, capsys)
 
 
 class TestFlagsCheckedFirst:

@@ -307,6 +307,125 @@ class TestScoreMatrix:
         with pytest.raises(DataFormatError, match="row 2"):
             load_scores(p)
 
+    def test_load_names_the_row_of_an_oversized_field(self, tmp_path):
+        big = "9" * (csv.field_size_limit() + 1)
+        p = write(tmp_path / "s.csv", f"utterance_id,d1\nt1,0.5\nt2,{big}\n")
+        with pytest.raises(DataFormatError, match=r"s\.csv: row 3: field larger than field limit"):
+            load_scores(p)
+
+    def test_no_detectors_rejected(self):
+        with pytest.raises(ValueError, match="at least one detector"):
+            ScoreMatrix(["t"], [], np.zeros((1, 0)))
+
+    def test_blocks_write_the_same_file_as_the_matrix(self, tmp_path):
+        m = ScoreMatrix(["t1", "t2", "t3"], ["d1", "d2"], np.arange(6.0).reshape(3, 2) / 7)
+        blocks = (
+            ScoreMatrix(m.trial_ids[a:b], m.detector_ids, m.scores[a:b])
+            for a, b in ((0, 2), (2, 3), (3, 3))
+        )
+        save_scores(m, tmp_path / "whole.csv")
+        save_scores(blocks, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_blocks_must_name_the_same_detectors(self, tmp_path):
+        blocks = [ScoreMatrix(["t1"], ["d1"], [[0.5]]), ScoreMatrix(["t2"], ["d2"], [[0.5]])]
+        with pytest.raises(ValueError, match="different detectors"):
+            save_scores(blocks, tmp_path / "s.csv")
+        with pytest.raises(ValueError, match="no score blocks"):
+            save_scores([], tmp_path / "s.csv")
+        assert list(tmp_path.iterdir()) == []
+
+
+def reference_csv(rows) -> bytes:
+    """The bytes csv.writer(lineterminator="\\n") writes for ``rows``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+# csv specials, non-ASCII (incl. astral and U+2028) and plain text; no NUL or surrogates
+_ID_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([",", '"', "\r", "\n", "\xe9", "\u4e16", "\u2028", "\U0001f642", " "]),
+        st.characters(min_codepoint=33, max_codepoint=126),
+    ),
+    max_size=6,
+)
+# where repr switches between fixed and exponent notation, and the extremes
+_EDGE_FLOATS = [
+    -0.0, 5e-324, 1e-05, 0.0001, 9999999999999998.0, 9.999999999999999e15, 1e16,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+class TestRowWriter:
+    """The one row writer equals csv.writer over ``repr(float(x))``, byte for byte."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n_rows=st.sampled_from([1, data._ROW_GROUP - 1, data._ROW_GROUP, data._ROW_GROUP + 1]),
+        dim=st.integers(1, 4),
+        data_=st.data(),
+    )
+    def test_equals_csv_writer(self, tmp_path_factory, n_rows, dim, data_):
+        utts = data_.draw(
+            st.lists(_ID_TEXT.filter(bool), min_size=n_rows, max_size=n_rows, unique=True)
+        )
+        spks = data_.draw(
+            st.lists(st.one_of(st.none(), st.just(""), _ID_TEXT), min_size=n_rows, max_size=n_rows)
+        )
+        value = st.one_of(
+            st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+        )
+        vecs = np.array(
+            data_.draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=n_rows, max_size=n_rows))
+        )
+        es = EmbeddingSet(utts, spks, vecs)
+        dets = [f"d{j}," if j % 2 else f"d{j}" for j in range(dim)]
+        scores = ScoreMatrix(utts, dets, vecs)
+        tmp = tmp_path_factory.mktemp("rows")
+        save_embeddings(es, tmp / "e.csv")
+        save_scores(scores, tmp / "s.csv")
+
+        values = [[repr(float(x)) for x in row] for row in vecs]
+        labels = [data.UNLABELED if s is None else s for s in spks]
+        assert (tmp / "e.csv").read_bytes() == reference_csv(
+            [u, s, *row] for u, s, row in zip(utts, labels, values)
+        )
+        assert (tmp / "s.csv").read_bytes() == reference_csv(
+            [["utterance_id", *dets]] + [[u, *row] for u, row in zip(utts, values)]
+        )
+        # Round trip.  csv.writer leaves a bare CR unquoted and the reader ends a
+        # line there, an empty speaker field does not load and "-" loads as None,
+        # so the ids are made loadable first.
+        loadable = [s.replace("\r", "") if s else "" for s in spks]
+        rt = EmbeddingSet(
+            [f"{i}:{u}".replace("\r", "") for i, u in enumerate(utts)],
+            [s if s not in ("", data.UNLABELED) else None for s in loadable],
+            vecs,
+        )
+        save_embeddings(rt, tmp / "rt.csv")
+        back = load_embeddings(tmp / "rt.csv")
+        assert back == rt
+        assert back.vectors.view(np.uint64).tobytes() == vecs.view(np.uint64).tobytes()
+        save_scores(ScoreMatrix(rt.utterance_ids, dets, vecs), tmp / "rt_s.csv")
+        scores_back = load_scores(tmp / "rt_s.csv")
+        assert scores_back.trial_ids == rt.utterance_ids
+        assert scores_back.detector_ids == tuple(dets)
+        assert scores_back.scores.view(np.uint64).tobytes() == vecs.view(np.uint64).tobytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        p = write(tmp_path / "e.csv", "old\n")
+
+        def boom(*args):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(data, "_write_rows", boom)
+        with pytest.raises(RuntimeError):
+            save_embeddings(EmbeddingSet(["u"], ["s"], [[1.0]]), p)
+        assert p.read_text(encoding="utf-8") == "old\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["e.csv"]
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
