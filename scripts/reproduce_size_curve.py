@@ -35,19 +35,12 @@ def main(argv=None) -> int:
         help="comma-separated nondecreasing blacklist sizes",
     )
     parser.add_argument("--channel-spread", type=float, default=3.0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",")]
     config = PopulationConfig(seed=args.seed, channel_spread=args.channel_spread)
     started = time.perf_counter()
-    result = run_size_sweep(
-        config,
-        sizes,
-        args.replicates,
-        default_partition_specs()[2],
-        threads=args.threads,
-    )
+    result = run_size_sweep(config, sizes, args.replicates, default_partition_specs()[2])
     elapsed = time.perf_counter() - started
 
     out = Path(args.out_dir)

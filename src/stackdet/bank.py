@@ -9,7 +9,6 @@ its scores over a cohort of blacklist utterances.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -21,8 +20,8 @@ ZERO_NORM = 1e-15
 SIGMA_FLOOR = 1e-12
 NORM_MODES = ("full", "shift", "scale", "none")
 
-# Fixed scoring block size; thread count must never change the output bytes,
-# so chunk boundaries cannot depend on it.
+# Fixed trial block size of every scorer: blocks split only over trials at
+# fixed boundaries, so all scorers run the same products and agree bytewise.
 _CHUNK = 2048
 
 
@@ -161,32 +160,27 @@ def _probes(bank: DetectorBank, trials: EmbeddingSet) -> np.ndarray:
     return _normalize_rows(trials.vectors, trials.utterance_ids)
 
 
-def _map_blocks(n_trials: int, threads: int, run) -> None:
-    """Call run((a, b)) on every fixed _CHUNK-row trial span, on up to `threads` workers."""
-    spans = [(a, min(a + _CHUNK, n_trials)) for a in range(0, n_trials, _CHUNK)]
-    if threads <= 1 or len(spans) <= 1:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
+def _score_spans(bank: DetectorBank, probes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(a, probes[a:a + _CHUNK] @ directions.T)`` for each fixed trial span.
+
+    No probes give one empty block.  The loop keeps no reference to a block
+    it has yielded, so a caller that drops its own before asking for the next
+    holds one block at a time.
+    """
+    for a in range(0, max(len(probes), 1), _CHUNK):
+        yield a, probes[a : a + _CHUNK] @ bank.directions.T
 
 
-def score_all(bank: DetectorBank, trials: EmbeddingSet, threads: int = 1) -> ScoreMatrix:
+def score_all(bank: DetectorBank, trials: EmbeddingSet) -> ScoreMatrix:
     """Cosine of every length-normalized trial against every detector.
 
-    Work is split into fixed-size trial blocks merged by index, so the
-    result is identical for any thread count.
+    Scored in the same fixed trial blocks as ``stack_scores`` and
+    ``score_blocks``, so all three give the same bytes on any BLAS.
     """
-    probes = _probes(bank, trials)
     out = np.empty((len(trials), len(bank)))
-    dirs_t = bank.directions.T
-
-    def run(span: tuple[int, int]) -> None:
-        a, b = span
-        out[a:b] = probes[a:b] @ dirs_t
-
-    _map_blocks(len(trials), threads, run)
+    for a, block in _score_spans(bank, _probes(bank, trials)):
+        out[a : a + len(block)] = block
+        del block
     return ScoreMatrix(trials.utterance_ids, bank.speaker_ids, out)
 
 
@@ -206,9 +200,7 @@ def mnorm_stats_from_scores(matrix: ScoreMatrix) -> MNormStats:
     return MNormStats(mu, sigma, matrix.n_trials)
 
 
-def compute_mnorm_stats(
-    bank: DetectorBank, cohort: EmbeddingSet, threads: int = 1
-) -> MNormStats:
+def compute_mnorm_stats(bank: DetectorBank, cohort: EmbeddingSet) -> MNormStats:
     """Score the blacklist cohort against the bank and standardize per detector.
 
     Every cohort utterance must be labeled with an enrolled speaker; the sum
@@ -222,7 +214,7 @@ def compute_mnorm_stats(
             raise ValueError(
                 f"cohort utterance {utt!r} belongs to {spk!r}, not an enrolled speaker"
             )
-    return mnorm_stats_from_scores(score_all(bank, cohort, threads=threads))
+    return mnorm_stats_from_scores(score_all(bank, cohort))
 
 
 def _check_mnorm(stats: MNormStats | None, n_detectors: int, mode: str) -> None:
@@ -272,7 +264,6 @@ def stack_scores(
     sizes: Sequence[int],
     stats: Sequence[MNormStats | None] | None = None,
     mode: str = "none",
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack scores of every trial on the first k detectors, for each k in sizes.
 
@@ -280,7 +271,7 @@ def stack_scores(
     score over detectors ``0..sizes[i]-1`` after M-Norm with ``stats[i]``
     (ignored when ``mode`` is ``none``) and the lowest index attaining it.
     The bytes equal ``score_all`` -> ``apply_mnorm`` -> ``stack_reduce``, but
-    only one ``_CHUNK``-row trial block per worker is held at a time.
+    only one ``_CHUNK``-row trial block is held at a time.
     """
     sizes = [int(k) for k in sizes]
     if not sizes or not all(1 <= k <= len(bank) for k in sizes):
@@ -293,10 +284,8 @@ def stack_scores(
     probes = _probes(bank, trials)
     y_star = np.empty((len(sizes), len(trials)))
     h_star = np.empty((len(sizes), len(trials)), dtype=np.int64)
-
-    def run(span: tuple[int, int]) -> None:
-        a, b = span
-        block = probes[a:b] @ bank.directions.T
+    for a, block in _score_spans(bank, probes):
+        b = a + len(block)
         for i, (k, st) in enumerate(zip(sizes, stats)):
             scores = block[:, :k]
             # cosines of finite unit vectors are finite; only M-Norm can overflow
@@ -309,8 +298,7 @@ def stack_scores(
                     raise ValueError("scores contain non-finite values")
             y_star[i, a:b] = scores.max(axis=1)
             h_star[i, a:b] = scores.argmax(axis=1)
-
-    _map_blocks(len(trials), threads, run)
+        del block, scores  # free this block before the next one is scored
     return y_star, h_star
 
 
@@ -330,11 +318,10 @@ def score_blocks(
     probes = _probes(bank, trials)
 
     def blocks() -> Iterator[ScoreMatrix]:
-        for a in range(0, max(len(trials), 1), _CHUNK):
-            b = a + _CHUNK
-            block = probes[a:b] @ bank.directions.T
+        for a, block in _score_spans(bank, probes):
             if mode != "none":
                 _mnorm(block, stats, mode, out=block)
-            yield ScoreMatrix(trials.utterance_ids[a:b], bank.speaker_ids, block)
+            yield ScoreMatrix(trials.utterance_ids[a : a + _CHUNK], bank.speaker_ids, block)
+            del block
 
     return blocks()

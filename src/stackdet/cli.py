@@ -1,10 +1,10 @@
 """Command-line harness: enroll, score, eval, and simulate subcommands.
 
-All outputs are deterministic given the flags: repeated runs produce
-byte-identical files, and ``--threads`` never changes an output byte (it
-only caps worker threads).  Wall-clock timings therefore go to stderr, not
-into report files.  Errors are printed to stderr with an ``error:`` prefix
-and a nonzero exit code.
+All outputs are deterministic given the flags and the BLAS thread count:
+repeated runs produce byte-identical files.  ``--threads`` is accepted and
+ignored, so existing command lines keep working.  Wall-clock timings go
+to stderr, not into report files.  Errors are printed to stderr with an
+``error:`` prefix and a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def cmd_enroll(args) -> int:
     augment = data.load_embeddings(args.augment) if args.augment else None
     b = bank_mod.enroll(train, augment)
     cohort = train if augment is None else data.concatenate([train, augment])
-    stats = bank_mod.compute_mnorm_stats(b, cohort, threads=args.threads)
+    stats = bank_mod.compute_mnorm_stats(b, cohort)
     save_bank(b.with_mnorm(stats), Path(args.out_dir))
     print(f"enrolled S={len(b)} D={b.dimension} cohort={stats.cohort_size}")
     return 0
@@ -171,7 +171,6 @@ def cmd_score(args) -> int:
     b = load_bank(args.bank)
     stats = _mnorm_for(b, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
-    # one trial block at a time: BLAS threads the product, so --threads is unused
     data.save_scores(bank_mod.score_blocks(b, trials, stats, args.norm_mode), args.out)
     print(f"scored trials={len(trials)} detectors={len(b)}")
     return 0
@@ -189,16 +188,14 @@ def cmd_eval(args) -> int:
         if utt not in mapping:
             raise ValueError(f"{args.labels}: missing label for trial {utt!r}")
     truth = np.array([mapping[utt] for utt in trials.utterance_ids], dtype=np.int64)
-    (y_star,), (h_star,) = bank_mod.stack_scores(
-        b, trials, [len(b)], [stats], args.norm_mode, args.threads
-    )
+    (y_star,), (h_star,) = bank_mod.stack_scores(b, trials, [len(b)], [stats], args.norm_mode)
     top_s, top_1 = metrics.sweep_both(y_star, h_star, truth)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "schema_version": SCHEMA_VERSION,
-        # threads deliberately omitted: outputs must not depend on it
+        # --threads is ignored, so it is not echoed
         "config": {
             "subcommand": "eval",
             "bank": str(args.bank),
@@ -211,7 +208,7 @@ def cmd_eval(args) -> int:
         # wall-clock goes to stderr so repeated runs stay byte-identical
         "timing": None,
     }
-    with (out_dir / "report.json").open("w", encoding="utf-8", newline="") as f:
+    with data.open_output(out_dir / "report.json") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
     for rep, name in ((top_s, "det_top_s.csv"), (top_1, "det_top_1.csv")):
@@ -248,7 +245,6 @@ def cmd_simulate(args) -> int:
         args.replicates,
         test_spec,
         norm_mode=args.norm_mode,
-        threads=args.threads,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="worker thread cap; never changes any output byte",
+            help="accepted and ignored; BLAS sets its own threads,"
+            " e.g. OPENBLAS_NUM_THREADS",
         )
 
     def add_norm(p):

@@ -12,12 +12,13 @@ Floats are written with shortest round-trip repr and parsed as binary64, so
 a save followed by a load reproduces every value bit-exactly.  The one row
 writer turns a group of rows into Python floats with ``tolist()`` and formats
 each with ``float.__repr__``, which gives the same shortest round-trip text
-as ``repr(float(x))``; ids get exactly the quoting of ``csv.writer`` with LF
-line ends.  A written file appears under its name only once it is complete.
-Both read paths parse values bit-exactly: numpy's ``loadtxt``, which parses
-embedding values in blocks of lines, uses the same correctly rounded
-conversion as ``float()`` (CPython's ``PyOS_string_to_double``), and the csv
-row loop that handles every other file calls ``float()`` itself.
+as ``repr(float(x))``; ids get exactly the quoting of ``csv.writer`` with CR
+LF line ends, so an id holding a CR reads back too, though rows end in LF.
+A written file appears under its name only once it is complete.  Both read
+paths parse values bit-exactly: numpy's ``loadtxt``, which parses embedding
+values in blocks of lines, uses the same correctly rounded conversion as
+``float()`` (CPython's ``PyOS_string_to_double``), and the csv row loop that
+handles every other file calls ``float()`` itself.
 """
 
 from __future__ import annotations
@@ -224,14 +225,17 @@ def open_output(path):
 _ROW_GROUP = 16
 
 
+# Returns the CSV line instead of writing it.  Its "\r\n" line end makes csv
+# quote a field holding \r as well as \n on every Python version, so every id
+# reads back; callers cut it off and end rows with "\n".
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+
+
 def _write_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
     """Write one CSV line per row of ``values``: the id columns, then the floats."""
-    # writerow returns the line instead of writing it, so id fields get exactly
-    # the quoting of csv.writer(f, lineterminator="\n")
-    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     for a in range(0, len(values), _ROW_GROUP):
         b = a + _ROW_GROUP
-        heads = [line((*row_ids, ""))[:-1] for row_ids in zip(*(c[a:b] for c in ids))]
+        heads = [_csv_line((*row_ids, ""))[:-2] for row_ids in zip(*(c[a:b] for c in ids))]
         rows = values[a:b].tolist()
         f.write("".join([h + ",".join(map(float.__repr__, r)) + "\n" for h, r in zip(heads, rows)]))
 
@@ -437,10 +441,11 @@ def save_scores(matrix: ScoreMatrix | Iterable[ScoreMatrix], path) -> None:
         for block in [matrix] if isinstance(matrix, ScoreMatrix) else matrix:
             if detector_ids is None:
                 detector_ids = block.detector_ids
-                csv.writer(f, lineterminator="\n").writerow(["utterance_id", *detector_ids])
+                f.write(_csv_line(["utterance_id", *detector_ids])[:-2] + "\n")
             elif block.detector_ids != detector_ids:
                 raise ValueError("score blocks name different detectors")
             _write_rows(f, (block.trial_ids,), block.scores)
+            del block  # free it before a generator scores the next one
         if detector_ids is None:
             raise ValueError("no score blocks to write")
 
@@ -511,7 +516,7 @@ def save_manifest(manifest: PartitionManifest, path) -> None:
         manifest.min_utterances_per_blacklist_speaker,
         manifest.total_utterances,
     )
-    with Path(path).open("w", encoding="utf-8", newline="") as f:
+    with open_output(path) as f:
         for key, value in zip(_MANIFEST_KEYS, values):
             f.write(f"{key}={value}\n")
 

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import data
 from .data import ScoreMatrix
 
 TOP_S = "top_s"
@@ -207,7 +208,7 @@ def det_points(report: DetectorReport, max_points: int) -> list[OperatingPoint]:
 
 def save_det_points(points: Sequence[OperatingPoint], path) -> None:
     """Write DET curve samples as CSV rows ``theta,p_fa,p_miss``."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with data.open_output(path) as f:
         f.write("theta,p_fa,p_miss\n")
         for p in points:
             f.write(f"{p.theta!r},{p.p_fa!r},{p.p_miss!r}\n")

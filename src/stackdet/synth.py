@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from . import data
 from .bank import NORM_MODES, enroll, mnorm_stats_from_scores, score_all, stack_scores
 from .data import EmbeddingSet, PartitionManifest, ScoreMatrix
 from .metrics import sweep_both
@@ -181,7 +181,6 @@ def run_size_sweep(
     test_spec: PartitionSpec,
     train_utts_per_speaker: int = 3,
     norm_mode: str = "none",
-    threads: int = 1,
 ) -> SizeSweepResult:
     """EER versus blacklist size on a fixed test set.
 
@@ -228,7 +227,7 @@ def run_size_sweep(
         )
         stats = None
         if norm_mode != "none":
-            cohort = score_all(full_bank, pop.train, threads=threads)
+            cohort = score_all(full_bank, pop.train)
             stats = [
                 mnorm_stats_from_scores(  # train is blacklist-only, speaker-major
                     ScoreMatrix(
@@ -240,9 +239,7 @@ def run_size_sweep(
                 for k in sizes
             ]
             del cohort  # not needed while the test set is scored
-        y_star, h_star = stack_scores(
-            full_bank, pop.test, sizes, stats, norm_mode, threads
-        )
+        y_star, h_star = stack_scores(full_bank, pop.test, sizes, stats, norm_mode)
         del pop  # free this population before the next one is drawn
         for ki, k in enumerate(sizes):
             keep = truth < k  # backgrounds (-1) and enrolled speakers
@@ -265,7 +262,7 @@ def save_size_sweep(
     result: SizeSweepResult, csv_path, json_path, config: dict | None = None
 ) -> None:
     """Write the per-size means as CSV plus a JSON sidecar with full detail."""
-    with Path(csv_path).open("w", encoding="utf-8", newline="") as f:
+    with data.open_output(csv_path) as f:
         f.write("blacklist_size,top_s_eer,top_1_eer\n")
         for k, s, o in zip(result.sizes, result.top_s_eer, result.top_1_eer):
             f.write(f"{k},{float(s)!r},{float(o)!r}\n")
@@ -284,6 +281,6 @@ def save_size_sweep(
             "top_1_eer": [[float(v) for v in row] for row in result.replicate_top_1],
         },
     }
-    with Path(json_path).open("w", encoding="utf-8", newline="") as f:
+    with data.open_output(json_path) as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -1,12 +1,17 @@
 import csv
+import errno
 import io
 import json
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stackdet import bank as bank_mod
-from stackdet import cli
+from stackdet import cli, data
 from stackdet.bank import apply_mnorm, compute_mnorm_stats, enroll, score_all
 from stackdet.data import EmbeddingSet, load_scores, save_embeddings
 from stackdet.metrics import stack_reduce, sweep_both
@@ -260,13 +265,32 @@ class TestEval:
             "theta,p_fa,p_miss\n"
         )
 
-    def test_byte_identical_across_runs_and_threads(self, workspace, bank_dir, tmp_path):
+    def test_byte_identical_across_runs_and_threads(
+        self, workspace, bank_dir, tmp_path, child_env
+    ):
+        root, _, _ = workspace
         assert self.run_eval(workspace, bank_dir, tmp_path / "a") == 0
         assert self.run_eval(workspace, bank_dir, tmp_path / "b") == 0
         assert self.run_eval(workspace, bank_dir, tmp_path / "c", ("--threads", "4")) == 0
+        # a separate process whose BLAS runs on one thread
+        child = subprocess.run(
+            [
+                sys.executable, "-m", "stackdet.cli", "eval",
+                "--bank", str(bank_dir),
+                "--trials", str(root / "test_trials.csv"),
+                "--labels", str(root / "test_labels.csv"),
+                "--out-dir", str(tmp_path / "d"),
+            ],
+            env=child_env(1),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
         a = read_all_bytes(tmp_path / "a")
         assert a == read_all_bytes(tmp_path / "b")
         assert a == read_all_bytes(tmp_path / "c")
+        assert a == read_all_bytes(tmp_path / "d")
 
     def test_norm_modes_differ_only_via_score_transform(self, workspace, bank_dir, tmp_path):
         assert self.run_eval(workspace, bank_dir, tmp_path / "raw", ("--norm-mode", "none")) == 0
@@ -485,6 +509,77 @@ class TestOversizedField:
             "--out-dir", str(out),
         ]
         self.check(argv, bad, row, out, capsys)
+
+
+class _FullDisk:
+    """Output file whose first write stores half its text and then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, text):
+        self._f.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _failing_output(monkeypatch, name):
+    """Make ``data.open_output`` hand out a ``_FullDisk`` for files called ``name``."""
+    real = data.open_output
+
+    @contextmanager
+    def open_output(path):
+        with real(path) as f:
+            yield _FullDisk(f) if Path(path).name == name else f
+
+    monkeypatch.setattr(data, "open_output", open_output)
+
+
+class TestAtomicOutputs:
+    # output file -> the subcommand that writes it (None: a library writer only)
+    WRITERS = {
+        "bank.csv": "enroll",
+        "mnorm.json": "enroll",
+        "scores.csv": "score",
+        "report.json": "eval",
+        "det_top_s.csv": "eval",
+        "det_top_1.csv": "eval",
+        "size_sweep.csv": "simulate",
+        "size_sweep.json": "simulate",
+        "test.manifest": None,
+    }
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_failed_write_keeps_the_old_file(
+        self, workspace, bank_dir, tmp_path, monkeypatch, capsys, name
+    ):
+        root, _, _ = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text("old\n", encoding="utf-8")
+        _failing_output(monkeypatch, name)
+        argv = {
+            "enroll": ["--train", str(root / "train_blacklist.csv"), "--out-dir", str(out)],
+            "score": [
+                "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv"),
+                "--out", str(out / "scores.csv"),
+            ],
+            "eval": [
+                "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv"),
+                "--labels", str(root / "test_labels.csv"), "--out-dir", str(out),
+            ],
+            "simulate": [
+                "--out-dir", str(out), "--sizes", "5", "--replicates", "1", "--dimension", "4",
+            ],
+        }
+        command = self.WRITERS[name]
+        if command is None:
+            with pytest.raises(OSError, match="No space left"):
+                data.save_manifest(data.PartitionManifest("test", 8, 30, 1, 38), out / name)
+        else:
+            assert cli.main([command, *argv[command]]) == 1
+            assert capsys.readouterr().err.startswith("error: [Errno 28] No space left")
+        assert (out / name).read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
 
 class TestFlagsCheckedFirst:

@@ -337,10 +337,17 @@ class TestScoreMatrix:
 
 
 def reference_csv(rows) -> bytes:
-    """The bytes csv.writer(lineterminator="\\n") writes for ``rows``."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue().encode("utf-8")
+    """The bytes csv.writer(lineterminator="\\r\\n") writes for ``rows``, but with LF row ends.
+
+    That line terminator makes csv.writer quote a field holding a bare CR on
+    every Python version, so every id loads back.
+    """
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 # csv specials, non-ASCII (incl. astral and U+2028) and plain text; no NUL or surrogates
@@ -395,14 +402,10 @@ class TestRowWriter:
         assert (tmp / "s.csv").read_bytes() == reference_csv(
             [["utterance_id", *dets]] + [[u, *row] for u, row in zip(utts, values)]
         )
-        # Round trip.  csv.writer leaves a bare CR unquoted and the reader ends a
-        # line there, an empty speaker field does not load and "-" loads as None,
-        # so the ids are made loadable first.
-        loadable = [s.replace("\r", "") if s else "" for s in spks]
+        # Round trip.  An empty speaker field does not load and "-" loads as
+        # None, so those speakers are made unlabeled first.
         rt = EmbeddingSet(
-            [f"{i}:{u}".replace("\r", "") for i, u in enumerate(utts)],
-            [s if s not in ("", data.UNLABELED) else None for s in loadable],
-            vecs,
+            utts, [None if s in (None, "", data.UNLABELED) else s for s in spks], vecs
         )
         save_embeddings(rt, tmp / "rt.csv")
         back = load_embeddings(tmp / "rt.csv")
