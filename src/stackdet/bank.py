@@ -5,12 +5,19 @@ of that speaker's length-normalized utterances.  Raw scores are cosines of
 length-normalized trials against detector directions.  M-Norm standardizes
 each detector's scores with the mean and population standard deviation of
 its scores over a cohort of blacklist utterances.
+
+Every scorer runs over the same fixed trial blocks, one block at a time:
+the stack scores of ``eval`` and ``simulate``, the streamed score table,
+and the cohort statistics, which sum score rows block by block in numpy's
+row order.  ``score_all`` alone builds the dense trials x detectors matrix;
+with ``apply_mnorm``, ``mnorm_stats_from_scores`` and ``metrics.stack_reduce``
+it is the reference the blockwise paths are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -184,27 +191,99 @@ def score_all(bank: DetectorBank, trials: EmbeddingSet) -> ScoreMatrix:
     return ScoreMatrix(trials.utterance_ids, bank.speaker_ids, out)
 
 
+def _corner_stats(
+    spans: Callable[[], Iterator[tuple[int, np.ndarray]]],
+    corners: Sequence[tuple[int, int]],
+    detector_ids: Sequence[str],
+) -> list[MNormStats]:
+    """M-Norm stats of each leading corner ``scores[:n, :k]`` of a cohort score matrix.
+
+    ``spans()`` yields the matrix as ``(row offset, block)`` in row order and
+    is called twice: pass 1 sums rows for mu, pass 2 sums ``(row - mu) ** 2``
+    for sigma.  Both add one row at a time in row order, which is how numpy
+    sums axis 0 of two or more columns, so the bytes equal the dense
+    ``scores.mean(axis=0)`` and ``np.sqrt(np.mean((scores - mu) ** 2, axis=0))``.
+    numpy sums a single column pairwise instead, so one-column corners keep
+    their n floats and reduce them with those two lines.  Only one block is
+    held at a time, and no rows past the largest n are scored.
+    """
+    if min(n for n, _ in corners) < 1:
+        raise ValueError("empty cohort")
+    n_max = max(n for n, _ in corners)
+    k_max = max(k for _, k in corners)
+    ends: dict[int, list[int]] = {}
+    for c, (n, _) in enumerate(corners):
+        ends.setdefault(n, []).append(c)
+    total = np.zeros(k_max)
+    column = np.empty((n_max, 1))
+    mus: dict[int, np.ndarray] = {}
+    j = 0
+    for _, block in spans():
+        for row in block[: n_max - j, :k_max]:
+            total += row
+            column[j] = row[0]
+            j += 1
+            for c in ends.get(j, ()):
+                k = corners[c][1]
+                mus[c] = column[:j].mean(axis=0) if k == 1 else total[:k] / j
+        del block, row  # a row view would keep its block alive through the next GEMM
+        if j == n_max:
+            break
+
+    wide = {c: np.zeros(k) for c, (_, k) in enumerate(corners) if k > 1}
+    n_wide = max((corners[c][0] for c in wide), default=0)
+    j = 0
+    for _, block in spans() if wide else ():
+        for row in block[: n_wide - j]:
+            for c, squares in wide.items():
+                n, k = corners[c]
+                if j < n:
+                    squares += (row[:k] - mus[c]) ** 2
+            j += 1
+        del block, row
+        if j == n_wide:
+            break
+
+    stats = []
+    for c, (n, k) in enumerate(corners):
+        if k == 1:
+            sigma = np.sqrt(np.mean((column[:n] - mus[c]) ** 2, axis=0))
+        else:
+            sigma = np.sqrt(wide[c] / n)
+        low = np.flatnonzero(sigma < SIGMA_FLOOR)
+        if low.size:
+            raise ValueError(
+                f"degenerate cohort: detector {detector_ids[low[0]]!r}"
+                f" has no score spread ({low.size} detector(s) affected)"
+            )
+        stats.append(MNormStats(mus[c], sigma, n))
+    return stats
+
+
+def _cohort_stats(
+    bank: DetectorBank, cohort: EmbeddingSet, corners: Sequence[tuple[int, int]]
+) -> list[MNormStats]:
+    """``_corner_stats`` of the cohort scored against the whole bank, block by block."""
+    probes = _probes(bank, cohort)
+    return _corner_stats(lambda: _score_spans(bank, probes), corners, bank.speaker_ids)
+
+
 def mnorm_stats_from_scores(matrix: ScoreMatrix) -> MNormStats:
     """Mean and population std of each detector's scores over a cohort matrix."""
-    if matrix.n_trials < 1:
-        raise ValueError("empty cohort")
-    scores = matrix.scores
-    mu = scores.mean(axis=0)
-    sigma = np.sqrt(np.mean((scores - mu) ** 2, axis=0))
-    low = np.flatnonzero(sigma < SIGMA_FLOOR)
-    if low.size:
-        raise ValueError(
-            f"degenerate cohort: detector {matrix.detector_ids[low[0]]!r}"
-            f" has no score spread ({low.size} detector(s) affected)"
-        )
-    return MNormStats(mu, sigma, matrix.n_trials)
+    (stats,) = _corner_stats(
+        lambda: iter([(0, matrix.scores)]),
+        [(matrix.n_trials, matrix.n_detectors)],
+        matrix.detector_ids,
+    )
+    return stats
 
 
 def compute_mnorm_stats(bank: DetectorBank, cohort: EmbeddingSet) -> MNormStats:
     """Score the blacklist cohort against the bank and standardize per detector.
 
     Every cohort utterance must be labeled with an enrolled speaker; the sum
-    runs over all of them, including each detector's own utterances.
+    runs over all of them, including each detector's own utterances.  The
+    cohort is scored block by block, never as one cohort x detectors matrix.
     """
     enrolled = set(bank.speaker_ids)
     for utt, spk in zip(cohort.utterance_ids, cohort.speaker_ids):
@@ -214,7 +293,8 @@ def compute_mnorm_stats(bank: DetectorBank, cohort: EmbeddingSet) -> MNormStats:
             raise ValueError(
                 f"cohort utterance {utt!r} belongs to {spk!r}, not an enrolled speaker"
             )
-    return mnorm_stats_from_scores(score_all(bank, cohort))
+    (stats,) = _cohort_stats(bank, cohort, [(len(cohort), len(bank))])
+    return stats
 
 
 def _check_mnorm(stats: MNormStats | None, n_detectors: int, mode: str) -> None:

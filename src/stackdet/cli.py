@@ -3,8 +3,10 @@
 All outputs are deterministic given the flags and the BLAS thread count:
 repeated runs produce byte-identical files.  ``--threads`` is accepted and
 ignored, so existing command lines keep working.  Wall-clock timings go
-to stderr, not into report files.  Errors are printed to stderr with an
-``error:`` prefix and a nonzero exit code.
+to stderr, not into report files.  Output locations are checked before
+any input is read, and the files of one command appear together or not at
+all.  Errors are printed to stderr with an ``error:`` prefix and a nonzero
+exit code.
 """
 
 from __future__ import annotations
@@ -41,12 +43,28 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _check_out_dir(path) -> None:
+    """Fail before any work when ``--out-dir`` cannot become a directory."""
+    path = Path(path)
+    base = next(p for p in (path, *path.parents) if p.exists())
+    if not base.is_dir():
+        raise ValueError(f"--out-dir {path}: {base} is not a directory")
+
+
+def _check_out_file(path) -> None:
+    """Fail before any work when ``--out`` cannot be written."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"--out {path}: is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--out {path}: {path.parent} is not an existing directory")
+
+
 def save_bank(b: bank_mod.DetectorBank, out_dir: Path) -> None:
     if b.mnorm is None:
         raise ValueError("bank has no normalization statistics to persist")
     out_dir.mkdir(parents=True, exist_ok=True)
     as_set = data.EmbeddingSet(b.speaker_ids, b.speaker_ids, b.directions)
-    data.save_embeddings(as_set, out_dir / BANK_FILE)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "cohort_size": b.mnorm.cohort_size,
@@ -54,9 +72,11 @@ def save_bank(b: bank_mod.DetectorBank, out_dir: Path) -> None:
         "mu": [float(v) for v in b.mnorm.mu],
         "sigma": [float(v) for v in b.mnorm.sigma],
     }
-    with data.open_output(out_dir / MNORM_FILE) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with data.output_group():
+        data.save_embeddings(as_set, out_dir / BANK_FILE)
+        with data.open_output(out_dir / MNORM_FILE) as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
 
 
 def _json_is(value, kind) -> bool:
@@ -157,6 +177,7 @@ def _mnorm_for(b: bank_mod.DetectorBank, norm_mode: str) -> bank_mod.MNormStats 
 
 
 def cmd_enroll(args) -> int:
+    _check_out_dir(args.out_dir)
     train = data.load_embeddings(args.train)
     augment = data.load_embeddings(args.augment) if args.augment else None
     b = bank_mod.enroll(train, augment)
@@ -168,6 +189,7 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _check_out_file(args.out)
     b = load_bank(args.bank)
     stats = _mnorm_for(b, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
@@ -180,6 +202,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     if args.det_points < 2:
         raise ValueError(f"--det-points must be at least 2, got {args.det_points}")
+    _check_out_dir(args.out_dir)
     b = load_bank(args.bank)
     stats = _mnorm_for(b, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
@@ -208,13 +231,14 @@ def cmd_eval(args) -> int:
         # wall-clock goes to stderr so repeated runs stay byte-identical
         "timing": None,
     }
-    with data.open_output(out_dir / "report.json") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    for rep, name in ((top_s, "det_top_s.csv"), (top_1, "det_top_1.csv")):
-        metrics.save_det_points(
-            metrics.det_points(rep, args.det_points), out_dir / name
-        )
+    with data.output_group():
+        with data.open_output(out_dir / "report.json") as f:
+            json.dump(report, f, indent=2, sort_keys=True)
+            f.write("\n")
+        for rep, name in ((top_s, "det_top_s.csv"), (top_1, "det_top_1.csv")):
+            metrics.save_det_points(
+                metrics.det_points(rep, args.det_points), out_dir / name
+            )
     print(f"top_s_eer={top_s.eer!r} top_1_eer={top_1.eer!r}")
     print(
         f"timing: eval took {time.perf_counter() - started:.3f}s", file=sys.stderr
@@ -225,6 +249,7 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     sizes = _parse_sizes(args.sizes)
+    _check_out_dir(args.out_dir)
     config = synth.PopulationConfig(
         dimension=args.dimension,
         speaker_spread=args.speaker_spread,

@@ -14,7 +14,8 @@ writer turns a group of rows into Python floats with ``tolist()`` and formats
 each with ``float.__repr__``, which gives the same shortest round-trip text
 as ``repr(float(x))``; ids get exactly the quoting of ``csv.writer`` with CR
 LF line ends, so an id holding a CR reads back too, though rows end in LF.
-A written file appears under its name only once it is complete.  Both read
+A written file appears under its name only once it is complete, and the
+files written inside one ``output_group`` appear together.  Both read
 paths parse values bit-exactly: numpy's ``loadtxt``, which parses embedding
 values in blocks of lines, uses the same correctly rounded conversion as
 ``float()`` (CPython's ``PyOS_string_to_double``), and the csv row loop that
@@ -199,24 +200,55 @@ def csv_records(f, path):
         yield rownum, rec
 
 
+# (temp file, target) pairs of the open output_group(), None outside one
+_staged: list[tuple[Path, Path]] | None = None
+
+
 @contextmanager
 def open_output(path):
     """Open ``path`` for writing UTF-8 text (no newline translation), all or nothing.
 
     The text goes to a new temp file in the same directory, which replaces
-    ``path`` when the block exits cleanly and is removed when it raises.
+    ``path`` when the block exits cleanly (inside ``output_group``, when the
+    group does) and is removed when it raises.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     # "x" rather than mkstemp: the file mode follows the umask like open("w")
-    f = tmp.open("x", encoding="utf-8", newline="")
+    try:
+        f = tmp.open("x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the caller's path, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with f:
             yield f
-        os.replace(tmp, path)
+        if _staged is None:
+            os.replace(tmp, path)
+        else:
+            _staged.append((tmp, path))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def output_group():
+    """Make the files written by ``open_output`` in the block appear together or not at all.
+
+    Every file is written to its temp file first; the targets are replaced
+    only once the whole block has exited cleanly.  If the block raises, all
+    temp files are removed and every target keeps its old contents.
+    """
+    global _staged
+    _staged = staged = []
+    try:
+        yield
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        _staged = None
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)  # only the ones not yet moved still exist
 
 
 # Rows formatted per write; bounds the Python floats and text held at once.

@@ -12,14 +12,15 @@ speaker by speaker, and the background utterances speaker by speaker.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data
-from .bank import NORM_MODES, enroll, mnorm_stats_from_scores, score_all, stack_scores
-from .data import EmbeddingSet, PartitionManifest, ScoreMatrix
+from .bank import NORM_MODES, _cohort_stats, enroll, stack_scores
+from .data import EmbeddingSet, PartitionManifest
 from .metrics import sweep_both
 
 DEFAULT_DIMENSION = 600
@@ -131,27 +132,23 @@ def generate_population(
 
     sets: dict[str, EmbeddingSet] = {}
     for name, spec in specs:
+        n_bl = spec.blacklist_speakers
         bg_ids = [f"bg_{name}{i + 1:05d}" for i in range(spec.background_speakers)]
         bg_means = rng.normal(
             0.0, config.speaker_spread, (spec.background_speakers, config.dimension)
         )
-        utts: list[str] = []
-        spks: list[str | None] = []
-        blocks: list[np.ndarray] = []
-        for i in range(spec.blacklist_speakers):
-            k = spec.blacklist_utts_per_speaker
-            noise = rng.normal(0.0, config.channel_spread, (k, config.dimension))
-            blocks.append(bl_means[i] + noise)
-            utts.extend(f"{bl_ids[i]}_{name}{j + 1:02d}" for j in range(k))
-            spks.extend([bl_ids[i]] * k)
-        for b, count in enumerate(_background_counts(spec)):
-            noise = rng.normal(0.0, config.channel_spread, (count, config.dimension))
-            blocks.append(bg_means[b] + noise)
-            utts.extend(f"{bg_ids[b]}_{name}{j + 1:02d}" for j in range(count))
-            spks.extend([bg_ids[b] if name == "train" else None] * count)
-        vectors = (
-            np.vstack(blocks) if blocks else np.zeros((0, config.dimension))
-        )
+        speakers = [*bl_ids[:n_bl], *bg_ids]
+        labels = speakers if name == "train" else [*bl_ids[:n_bl], *[None] * len(bg_ids)]
+        counts = [spec.blacklist_utts_per_speaker] * n_bl + _background_counts(spec)
+        # One call draws the same values in the same order as one call per
+        # speaker, without a block per speaker and a vstack copy of them all.
+        vectors = rng.normal(0.0, config.channel_spread, (sum(counts), config.dimension))
+        a = 0
+        for mean, count in zip(itertools.chain(bl_means[:n_bl], bg_means), counts):
+            vectors[a : a + count] += mean
+            a += count
+        utts = [f"{spk}_{name}{j + 1:02d}" for spk, n in zip(speakers, counts) for j in range(n)]
+        spks = [spk for spk, n in zip(labels, counts) for _ in range(n)]
         sets[name] = EmbeddingSet(utts, spks, vectors)
     return Population(sets["train"], sets["dev"], sets["test"], bl_ids)
 
@@ -227,18 +224,9 @@ def run_size_sweep(
         )
         stats = None
         if norm_mode != "none":
-            cohort = score_all(full_bank, pop.train)
-            stats = [
-                mnorm_stats_from_scores(  # train is blacklist-only, speaker-major
-                    ScoreMatrix(
-                        cohort.trial_ids[: k * train_utts_per_speaker],
-                        cohort.detector_ids[:k],
-                        cohort.scores[: k * train_utts_per_speaker, :k],
-                    )
-                )
-                for k in sizes
-            ]
-            del cohort  # not needed while the test set is scored
+            # train is blacklist-only and speaker-major: size k's cohort is its first k*u rows
+            u = train_utts_per_speaker
+            stats = _cohort_stats(full_bank, pop.train, [(k * u, k) for k in sizes])
         y_star, h_star = stack_scores(full_bank, pop.test, sizes, stats, norm_mode)
         del pop  # free this population before the next one is drawn
         for ki, k in enumerate(sizes):
@@ -262,10 +250,6 @@ def save_size_sweep(
     result: SizeSweepResult, csv_path, json_path, config: dict | None = None
 ) -> None:
     """Write the per-size means as CSV plus a JSON sidecar with full detail."""
-    with data.open_output(csv_path) as f:
-        f.write("blacklist_size,top_s_eer,top_1_eer\n")
-        for k, s, o in zip(result.sizes, result.top_s_eer, result.top_1_eer):
-            f.write(f"{k},{float(s)!r},{float(o)!r}\n")
     sidecar = {
         "schema_version": 1,
         "config": config or {},
@@ -281,6 +265,11 @@ def save_size_sweep(
             "top_1_eer": [[float(v) for v in row] for row in result.replicate_top_1],
         },
     }
-    with data.open_output(json_path) as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with data.output_group():
+        with data.open_output(csv_path) as f:
+            f.write("blacklist_size,top_s_eer,top_1_eer\n")
+            for k, s, o in zip(result.sizes, result.top_s_eer, result.top_1_eer):
+                f.write(f"{k},{float(s)!r},{float(o)!r}\n")
+        with data.open_output(json_path) as f:
+            json.dump(sidecar, f, indent=2, sort_keys=True)
+            f.write("\n")

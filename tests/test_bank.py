@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackdet import bank as bank_mod
+from stackdet import synth
 from stackdet.bank import (
     _CHUNK,
     NORM_MODES,
@@ -272,6 +274,141 @@ class TestMNorm:
                 "full",
             )
             assert np.abs(base.scores - moved.scores).max() < 1e-10
+
+
+def dense_stats(scores):
+    """The dense M-Norm statistics: numpy's axis-0 mean and population std."""
+    mu = scores.mean(axis=0)
+    sigma = np.sqrt(np.mean((scores - mu) ** 2, axis=0))
+    return mu, sigma
+
+
+def assert_dense_bits(stats, scores):
+    mu, sigma = dense_stats(scores)
+    assert stats.cohort_size == len(scores)
+    assert stats.mu.view(np.uint64).tolist() == mu.view(np.uint64).tolist()
+    assert stats.sigma.view(np.uint64).tolist() == sigma.view(np.uint64).tolist()
+
+
+def cohort_case(seed, dim, n_det, n_cohort):
+    """Bank of random unit directions and a cohort labeled with its speakers."""
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((n_det, dim))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    bank = DetectorBank([f"d{j}" for j in range(n_det)], directions)
+    cohort = EmbeddingSet(
+        [f"c{i}" for i in range(n_cohort)],
+        [f"d{i * n_det // n_cohort}" for i in range(n_cohort)],  # speaker-major
+        rng.standard_normal((n_cohort, dim)),
+    )
+    return bank, cohort
+
+
+BOUNDARY_SIZES = [2, 3, 8, 9, 40, _CHUNK - 1, _CHUNK, _CHUNK + 1]
+
+
+class TestCohortStats:
+    """The blockwise accumulator against the dense numpy lines, bit for bit."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        n_det=st.integers(1, 7),
+        n_cohort=st.sampled_from(BOUNDARY_SIZES),
+    )
+    def test_compute_mnorm_stats_equals_dense(self, seed, dim, n_det, n_cohort):
+        bank, cohort = cohort_case(seed, dim, n_det, max(n_det, n_cohort))
+        stats = compute_mnorm_stats(bank, cohort)
+        assert_dense_bits(stats, score_all(bank, cohort).scores)
+
+    @pytest.mark.parametrize("n_cohort", [8, 9, 17, _CHUNK + 1])
+    def test_one_detector_is_summed_like_numpy(self, n_cohort):
+        # numpy sums one column pairwise, not row by row
+        bank, cohort = cohort_case(3, 4, 1, n_cohort)
+        assert_dense_bits(compute_mnorm_stats(bank, cohort), score_all(bank, cohort).scores)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_det=st.integers(1, 6),
+        rows=st.lists(
+            st.sampled_from([1, 2, 7, 8, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+            min_size=1,
+            max_size=4,
+        ),
+        widths=st.lists(st.integers(1, 6), min_size=4, max_size=4),
+    )
+    def test_corners_equal_dense_slices(self, seed, n_det, rows, widths):
+        bank, cohort = cohort_case(seed, 3, n_det, 2 * _CHUNK + 3)
+        dense = score_all(bank, cohort).scores
+        corners = [(n, min(k, n_det)) for n, k in zip(rows, widths)]
+        expect = [dense_stats(np.ascontiguousarray(dense[:n, :k])) for n, k in corners]
+        if any((sigma < bank_mod.SIGMA_FLOOR).any() for _, sigma in expect):
+            with pytest.raises(ValueError, match="degenerate cohort"):
+                bank_mod._cohort_stats(bank, cohort, corners)
+            return
+        got = bank_mod._cohort_stats(bank, cohort, corners)
+        for stats, (n, k) in zip(got, corners):
+            assert_dense_bits(stats, np.ascontiguousarray(dense[:n, :k]))
+
+    def test_matrix_stats_are_the_dense_lines(self):
+        rng = np.random.default_rng(5)
+        for shape in [(9, 1), (3, 2), (_CHUNK + 1, 4)]:
+            scores = rng.uniform(-1, 1, shape)
+            matrix = ScoreMatrix(
+                [f"t{i}" for i in range(shape[0])], [f"d{j}" for j in range(shape[1])], scores
+            )
+            assert_dense_bits(mnorm_stats_from_scores(matrix), scores)
+
+    def test_empty_cohort(self):
+        bank, _ = cohort_case(1, 3, 2, 2)
+        with pytest.raises(ValueError, match="empty cohort"):
+            compute_mnorm_stats(bank, EmbeddingSet([], [], np.zeros((0, 3))))
+        with pytest.raises(ValueError, match="empty cohort"):
+            mnorm_stats_from_scores(ScoreMatrix([], ["a"], np.zeros((0, 1))))
+
+    @pytest.mark.parametrize(
+        "pool, utts, sizes",
+        [(8, 9, [1, 2, 8]), (3, 3, [1, 1, 3]), (520, 4, [1, 511, 512, 513, 520])],
+    )
+    def test_size_sweep_stats_equal_dense_slices(self, monkeypatch, pool, utts, sizes):
+        seen = {}
+        real_enroll, real_stack = synth.enroll, synth.stack_scores
+
+        def spy_enroll(train, *args):
+            seen["train"] = train
+            return real_enroll(train, *args)
+
+        def spy_stack(bank, trials, sizes, stats, mode):
+            seen["stats"], seen["bank"] = stats, bank
+            return real_stack(bank, trials, sizes, stats, mode)
+
+        monkeypatch.setattr(synth, "enroll", spy_enroll)
+        monkeypatch.setattr(synth, "stack_scores", spy_stack)
+        synth.run_size_sweep(
+            synth.PopulationConfig(dimension=4, seed=9),
+            sizes,
+            1,
+            synth.PartitionSpec(pool, 4, 1, 8),
+            train_utts_per_speaker=utts,
+            norm_mode="full",
+        )
+        dense = score_all(seen["bank"], seen["train"]).scores
+        assert len(seen["stats"]) == len(sizes)
+        for stats, k in zip(seen["stats"], sizes):
+            assert_dense_bits(stats, np.ascontiguousarray(dense[: k * utts, :k]))
+
+    def test_peak_memory_stays_below_one_cohort_matrix(self):
+        bank, cohort = cohort_case(7, 40, 600, 3000)
+        matrix_bytes = len(cohort) * len(bank) * 8
+        tracemalloc.start()
+        try:
+            compute_mnorm_stats(bank, cohort)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestDetectorBank:

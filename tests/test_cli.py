@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stackdet import bank as bank_mod
-from stackdet import cli, data
+from stackdet import cli, data, synth
 from stackdet.bank import apply_mnorm, compute_mnorm_stats, enroll, score_all
 from stackdet.data import EmbeddingSet, load_scores, save_embeddings
 from stackdet.metrics import stack_reduce, sweep_both
@@ -552,10 +552,14 @@ class TestAtomicOutputs:
     def test_failed_write_keeps_the_old_file(
         self, workspace, bank_dir, tmp_path, monkeypatch, capsys, name
     ):
+        # a failure on any one file keeps every file its command writes
         root, _, _ = workspace
         out = tmp_path / "out"
         out.mkdir()
-        (out / name).write_text("old\n", encoding="utf-8")
+        command = self.WRITERS[name]
+        group = [n for n, c in self.WRITERS.items() if c == command] if command else [name]
+        for n in group:
+            (out / n).write_text("old\n", encoding="utf-8")
         _failing_output(monkeypatch, name)
         argv = {
             "enroll": ["--train", str(root / "train_blacklist.csv"), "--out-dir", str(out)],
@@ -571,15 +575,71 @@ class TestAtomicOutputs:
                 "--out-dir", str(out), "--sizes", "5", "--replicates", "1", "--dimension", "4",
             ],
         }
-        command = self.WRITERS[name]
         if command is None:
             with pytest.raises(OSError, match="No space left"):
                 data.save_manifest(data.PartitionManifest("test", 8, 30, 1, 38), out / name)
         else:
             assert cli.main([command, *argv[command]]) == 1
             assert capsys.readouterr().err.startswith("error: [Errno 28] No space left")
-        assert (out / name).read_text(encoding="utf-8") == "old\n"
+        assert {n: (out / n).read_text(encoding="utf-8") for n in group} == dict.fromkeys(
+            group, "old\n"
+        )
         assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+
+
+class TestOutputLocationsCheckedFirst:
+    def argv(self, workspace, bank_dir, command, out):
+        root, _, _ = workspace
+        return {
+            "enroll": ["enroll", "--train", str(root / "train_blacklist.csv"), "--out-dir", out],
+            "score": [
+                "score", "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv"),
+                "--out", out,
+            ],
+            "eval": [
+                "eval", "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv"),
+                "--labels", str(root / "test_labels.csv"), "--out-dir", out,
+            ],
+            "simulate": ["simulate", "--out-dir", out, "--sizes", "5", "--replicates", "1"],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, out, message",
+        [
+            ("enroll", "afile", "--out-dir {t}/afile: {t}/afile is not a directory"),
+            ("enroll", "afile/bank", "--out-dir {t}/afile/bank: {t}/afile is not a directory"),
+            ("eval", "afile", "--out-dir {t}/afile: {t}/afile is not a directory"),
+            ("simulate", "afile/x", "--out-dir {t}/afile/x: {t}/afile is not a directory"),
+            ("score", "nodir/s.csv", "--out {t}/nodir/s.csv: {t}/nodir is not an existing directory"),
+            ("score", "afile/s.csv", "--out {t}/afile/s.csv: {t}/afile is not an existing directory"),
+            ("score", "adir", "--out {t}/adir: is a directory"),
+        ],
+        ids=["enroll-file", "enroll-under-file", "eval-file", "simulate-under-file",
+             "score-missing-dir", "score-under-file", "score-dir"],
+    )
+    def test_bad_location_fails_before_loading(
+        self, workspace, bank_dir, tmp_path, monkeypatch, capsys, command, out, message
+    ):
+        (tmp_path / "afile").write_text("keep\n", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        before = read_all_bytes(tmp_path)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output location was checked")
+
+        monkeypatch.setattr(data, "load_embeddings", no_work)
+        monkeypatch.setattr(synth, "generate_population", no_work)
+        assert cli.main(self.argv(workspace, bank_dir, command, str(tmp_path / out))) == 1
+        assert capsys.readouterr().err == f"error: {message.format(t=tmp_path)}\n"
+        assert read_all_bytes(tmp_path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+    def test_missing_directories_are_still_created(self, workspace, tmp_path):
+        root, _, _ = workspace
+        out = tmp_path / "new" / "bank"
+        argv = ["enroll", "--train", str(root / "train_blacklist.csv"), "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["bank.csv", "mnorm.json"]
 
 
 class TestFlagsCheckedFirst:

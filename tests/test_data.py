@@ -529,3 +529,38 @@ class TestConcatenate:
             concatenate([a, EmbeddingSet(["u3"], ["s"], [[1.0, 2.0, 3.0]])])
         with pytest.raises(ValueError, match="duplicate"):
             concatenate([a, a])
+
+
+class TestOutputGroup:
+    def write(self, path, text):
+        with data.open_output(path) as f:
+            f.write(text)
+
+    def test_targets_change_only_when_the_group_exits(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("old a", encoding="utf-8")
+        with data.output_group():
+            self.write(a, "new a")
+            self.write(b, "new b")
+            assert a.read_text(encoding="utf-8") == "old a" and not b.exists()
+        assert (a.read_text(encoding="utf-8"), b.read_text(encoding="utf-8")) == ("new a", "new b")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_a_failure_keeps_every_target(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("old a", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with data.output_group():
+                self.write(a, "new a")
+                self.write(b, "new b")
+                raise RuntimeError("late failure")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+        assert a.read_text(encoding="utf-8") == "old a"
+        self.write(b, "alone")  # outside a group each file is replaced at once
+        assert b.read_text(encoding="utf-8") == "alone"
+
+    def test_open_error_names_the_target(self, tmp_path):
+        target = tmp_path / "nodir" / "x.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            self.write(target, "x")
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{target}'"

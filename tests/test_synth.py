@@ -85,6 +85,33 @@ class TestGeneratePopulation:
             assert x == y
             assert x.vectors.tobytes() == y.vectors.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+    def test_equals_one_draw_per_speaker(self, seed):
+        """The per-partition draw against the stated order: one draw per speaker."""
+        cfg = PopulationConfig(dimension=5, speaker_spread=1.0, channel_spread=2.0, seed=seed)
+        specs = (PartitionSpec(4, 3, 2, 7), PartitionSpec(0, 0), PartitionSpec(3, 2, 1, 5))
+        pop = generate_population(cfg, *specs)
+        rng = np.random.default_rng(seed)
+        bl_means = rng.normal(0.0, 1.0, (4, 5))
+        for es, name, spec in zip((pop.train, pop.dev, pop.test), ("train", "dev", "test"), specs):
+            bg_means = rng.normal(0.0, 1.0, (spec.background_speakers, 5))
+            rows, utts, spks = [], [], []
+            for i in range(spec.blacklist_speakers):
+                for j in range(spec.blacklist_utts_per_speaker):
+                    utts.append(f"bl{i + 1:05d}_{name}{j + 1:02d}")
+                    spks.append(f"bl{i + 1:05d}")
+                rows.append(bl_means[i] + rng.normal(0.0, 2.0, (spec.blacklist_utts_per_speaker, 5)))
+            base, extra = divmod(spec.background_utts, max(spec.background_speakers, 1))
+            for b in range(spec.background_speakers):
+                count = base + (b < extra)
+                bg = f"bg_{name}{b + 1:05d}"
+                utts += [f"{bg}_{name}{j + 1:02d}" for j in range(count)]
+                spks += [bg if name == "train" else None] * count
+                rows.append(bg_means[b] + rng.normal(0.0, 2.0, (count, 5)))
+            expect = np.vstack(rows) if rows else np.zeros((0, 5))
+            assert (es.utterance_ids, es.speaker_ids) == (tuple(utts), tuple(spks))
+            assert es.vectors.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+
     def test_seed_changes_vectors(self):
         train, dev, test = small_specs()
         a = generate_population(SMALL, train, dev, test)
