@@ -12,7 +12,6 @@ from .bank import (
     apply_mnorm,
     compute_mnorm_stats,
     enroll,
-    length_normalize,
     mnorm_stats_from_scores,
     score_all,
     score_blocks,
@@ -27,7 +26,6 @@ from .data import (
     concatenate,
     load_embeddings,
     load_manifest,
-    load_scores,
     save_embeddings,
     save_manifest,
     save_scores,

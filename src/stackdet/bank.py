@@ -4,7 +4,10 @@ A detector is one enrolled blacklist speaker: the unit-length mean direction
 of that speaker's length-normalized utterances.  Raw scores are cosines of
 length-normalized trials against detector directions.  M-Norm standardizes
 each detector's scores with the mean and population standard deviation of
-its scores over a cohort of blacklist utterances.
+its scores over a cohort of blacklist utterances.  ``MNormStats.for_mode``
+is the one place that knows the normalization modes: it resolves a mode to
+the statistics of its formula, or to None for no normalization, and every
+scorer applies ``(y - mu) / sigma`` whenever its statistics are not None.
 
 Every scorer runs over the same fixed trial blocks, one block at a time:
 the stack scores of ``eval`` and ``simulate``, the streamed score table,
@@ -16,7 +19,7 @@ it is the reference the blockwise paths are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -30,19 +33,6 @@ NORM_MODES = ("full", "shift", "scale", "none")
 # Fixed trial block size of every scorer: blocks split only over trials at
 # fixed boundaries, so all scorers run the same products and agree bytewise.
 _CHUNK = 2048
-
-
-def length_normalize(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; rejects (near-)zero vectors."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D vector")
-    if not np.isfinite(v).all():
-        raise ValueError("vector contains non-finite values")
-    n = float(np.linalg.norm(v))
-    if n < ZERO_NORM:
-        raise ValueError("cannot length-normalize a zero vector")
-    return v / n
 
 
 def _normalize_rows(mat: np.ndarray, ids: Sequence[str]) -> np.ndarray:
@@ -80,6 +70,24 @@ class MNormStats:
     def __len__(self) -> int:
         return self.mu.shape[0]
 
+    def for_mode(self, mode: str) -> "MNormStats | None":
+        """The statistics whose ``(y - mu) / sigma`` is the M-Norm of ``mode``.
+
+        ``full`` is these statistics, ``shift`` keeps mu with sigma = 1,
+        ``scale`` keeps sigma with mu = 0, and ``none`` is None: no M-Norm.
+        ``y - 0`` and ``y / 1`` are exact, so each mode gives the bytes of
+        its own formula.
+        """
+        if mode not in NORM_MODES:
+            raise ValueError(f"normalization mode must be one of {NORM_MODES}")
+        if mode == "none":
+            return None
+        if mode == "shift":
+            return MNormStats(self.mu, np.ones_like(self.mu), self.cohort_size)
+        if mode == "scale":
+            return MNormStats(np.zeros_like(self.sigma), self.sigma, self.cohort_size)
+        return self
+
 
 @dataclass(frozen=True, eq=False)
 class DetectorBank:
@@ -87,7 +95,6 @@ class DetectorBank:
 
     speaker_ids: tuple[str, ...]
     directions: np.ndarray  # (S, D), unit-norm rows
-    mnorm: MNormStats | None = None
 
     def __post_init__(self) -> None:
         directions = np.ascontiguousarray(self.directions, dtype=np.float64)
@@ -109,8 +116,6 @@ class DetectorBank:
             raise ValueError(
                 f"model for speaker {ids[off[0]]!r} is not unit length"
             )
-        if self.mnorm is not None and len(self.mnorm) != s:
-            raise ValueError("normalization statistics do not match bank size")
         directions.flags.writeable = False
         object.__setattr__(self, "speaker_ids", ids)
         object.__setattr__(self, "directions", directions)
@@ -121,15 +126,6 @@ class DetectorBank:
 
     def __len__(self) -> int:
         return self.directions.shape[0]
-
-    def take(self, k: int) -> "DetectorBank":
-        """Sub-bank of the first k detectors (normalization stats dropped)."""
-        if not 1 <= k <= len(self):
-            raise ValueError(f"cannot take {k} of {len(self)} detectors")
-        return DetectorBank(self.speaker_ids[:k], self.directions[:k])
-
-    def with_mnorm(self, stats: MNormStats) -> "DetectorBank":
-        return replace(self, mnorm=stats)
 
 
 def enroll(train: EmbeddingSet, augment: EmbeddingSet | None = None) -> DetectorBank:
@@ -297,45 +293,30 @@ def compute_mnorm_stats(bank: DetectorBank, cohort: EmbeddingSet) -> MNormStats:
     return stats
 
 
-def _check_mnorm(stats: MNormStats | None, n_detectors: int, mode: str) -> None:
-    if mode not in NORM_MODES:
-        raise ValueError(f"normalization mode must be one of {NORM_MODES}")
-    if mode == "none":
-        return
-    if stats is None:
-        raise ValueError(f"mode {mode!r} requires normalization statistics")
-    if len(stats) != n_detectors:
+def _check_mnorm(stats: MNormStats | None, n_detectors: int) -> None:
+    if stats is not None and len(stats) != n_detectors:
         raise ValueError(
             f"size mismatch: {len(stats)} stats vs {n_detectors} detectors"
         )
 
 
-def _mnorm(
-    scores: np.ndarray, stats: MNormStats, mode: str, out: np.ndarray | None = None
-) -> np.ndarray:
-    """M-Norm of ``scores`` into ``out`` (a new array when None; may be ``scores``)."""
-    if mode == "full":
-        out = np.subtract(scores, stats.mu, out=out)
-        return np.divide(out, stats.sigma, out=out)
-    if mode == "shift":
-        return np.subtract(scores, stats.mu, out=out)
-    return np.divide(scores, stats.sigma, out=out)
+def _mnorm(scores: np.ndarray, stats: MNormStats, out: np.ndarray | None = None) -> np.ndarray:
+    """``(scores - mu) / sigma`` into ``out`` (a new array when None; may be ``scores``)."""
+    out = np.subtract(scores, stats.mu, out=out)
+    return np.divide(out, stats.sigma, out=out)
 
 
 def apply_mnorm(
     matrix: ScoreMatrix, stats: MNormStats | None, mode: str = "full"
 ) -> ScoreMatrix:
-    """Standardize each score column: (y - mu) / sigma, or a partial variant.
-
-    Modes: ``full`` shifts and scales, ``shift`` only subtracts mu,
-    ``scale`` only divides by sigma, ``none`` returns the scores unchanged.
-    """
-    _check_mnorm(stats, matrix.n_detectors, mode)
+    """Standardize each score column with ``stats.for_mode(mode)``; ``none`` returns ``matrix``."""
     if mode == "none":
         return matrix
-    return ScoreMatrix(
-        matrix.trial_ids, matrix.detector_ids, _mnorm(matrix.scores, stats, mode)
-    )
+    if stats is None:
+        raise ValueError(f"mode {mode!r} requires normalization statistics")
+    stats = stats.for_mode(mode)
+    _check_mnorm(stats, matrix.n_detectors)
+    return ScoreMatrix(matrix.trial_ids, matrix.detector_ids, _mnorm(matrix.scores, stats))
 
 
 def stack_scores(
@@ -343,13 +324,12 @@ def stack_scores(
     trials: EmbeddingSet,
     sizes: Sequence[int],
     stats: Sequence[MNormStats | None] | None = None,
-    mode: str = "none",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack scores of every trial on the first k detectors, for each k in sizes.
 
     Returns ``(y_star, h_star)``, each ``(len(sizes), len(trials))``: the best
     score over detectors ``0..sizes[i]-1`` after M-Norm with ``stats[i]``
-    (ignored when ``mode`` is ``none``) and the lowest index attaining it.
+    (no M-Norm where it is None) and the lowest index attaining it.
     The bytes equal ``score_all`` -> ``apply_mnorm`` -> ``stack_reduce``, but
     only one ``_CHUNK``-row trial block is held at a time.
     """
@@ -360,7 +340,7 @@ def stack_scores(
     if len(stats) != len(sizes):
         raise ValueError(f"{len(stats)} sets of normalization statistics for {len(sizes)} sizes")
     for k, st in zip(sizes, stats):
-        _check_mnorm(st, k, mode)
+        _check_mnorm(st, k)
     probes = _probes(bank, trials)
     y_star = np.empty((len(sizes), len(trials)))
     h_star = np.empty((len(sizes), len(trials)), dtype=np.int64)
@@ -369,11 +349,11 @@ def stack_scores(
         for i, (k, st) in enumerate(zip(sizes, stats)):
             scores = block[:, :k]
             # cosines of finite unit vectors are finite; only M-Norm can overflow
-            if mode != "none":
+            if st is not None:
                 # the last size may overwrite a whole block that no size reads again;
                 # otherwise a contiguous output, never a strided view of the block
                 last = i == len(sizes) - 1 and k == block.shape[1]
-                scores = _mnorm(scores, st, mode, out=block if last else np.empty((b - a, k)))
+                scores = _mnorm(scores, st, out=block if last else np.empty((b - a, k)))
                 if not np.isfinite(scores).all():
                     raise ValueError("scores contain non-finite values")
             y_star[i, a:b] = scores.max(axis=1)
@@ -386,21 +366,20 @@ def score_blocks(
     bank: DetectorBank,
     trials: EmbeddingSet,
     stats: MNormStats | None = None,
-    mode: str = "none",
 ) -> Iterator[ScoreMatrix]:
-    """``apply_mnorm(score_all(bank, trials), stats, mode)`` as consecutive trial blocks.
+    """``score_all(bank, trials)`` after M-Norm with ``stats`` (if not None), in trial blocks.
 
     Each block is one fixed ``_CHUNK``-row span, scored and normalized in
     place when it is requested, so only one block is held at a time.  No
     trials give one empty block.  A block with a non-finite score raises.
     """
-    _check_mnorm(stats, len(bank), mode)
+    _check_mnorm(stats, len(bank))
     probes = _probes(bank, trials)
 
     def blocks() -> Iterator[ScoreMatrix]:
         for a, block in _score_spans(bank, probes):
-            if mode != "none":
-                _mnorm(block, stats, mode, out=block)
+            if stats is not None:
+                _mnorm(block, stats, out=block)
             yield ScoreMatrix(trials.utterance_ids[a : a + _CHUNK], bank.speaker_ids, block)
             del block
 

@@ -7,6 +7,11 @@ to stderr, not into report files.  Output locations are checked before
 any input is read, and the files of one command appear together or not at
 all.  Errors are printed to stderr with an ``error:`` prefix and a nonzero
 exit code.
+
+A bank directory holds ``bank.csv`` (one unit direction per detector) and
+``mnorm.json`` (its cohort statistics).  ``load_bank`` returns the two
+apart, and ``_mnorm_for`` resolves the statistics for ``--norm-mode``
+through ``MNormStats.for_mode``.
 """
 
 from __future__ import annotations
@@ -60,17 +65,17 @@ def _check_out_file(path) -> None:
         raise ValueError(f"--out {path}: {path.parent} is not an existing directory")
 
 
-def save_bank(b: bank_mod.DetectorBank, out_dir: Path) -> None:
-    if b.mnorm is None:
-        raise ValueError("bank has no normalization statistics to persist")
+def save_bank(b: bank_mod.DetectorBank, stats: bank_mod.MNormStats, out_dir: Path) -> None:
+    if stats is None or len(stats) != len(b):
+        raise ValueError("normalization statistics do not match the bank")
     out_dir.mkdir(parents=True, exist_ok=True)
     as_set = data.EmbeddingSet(b.speaker_ids, b.speaker_ids, b.directions)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "cohort_size": b.mnorm.cohort_size,
+        "cohort_size": stats.cohort_size,
         "detector_ids": list(b.speaker_ids),
-        "mu": [float(v) for v in b.mnorm.mu],
-        "sigma": [float(v) for v in b.mnorm.sigma],
+        "mu": [float(v) for v in stats.mu],
+        "sigma": [float(v) for v in stats.sigma],
     }
     with data.output_group():
         data.save_embeddings(as_set, out_dir / BANK_FILE)
@@ -96,13 +101,15 @@ _MNORM_KEYS = {
 }
 
 
-def _with_mnorm(b: bank_mod.DetectorBank, path: Path) -> bank_mod.DetectorBank:
-    """Attach the stats in mnorm.json; every defect is a DataFormatError naming the file."""
+def _load_mnorm(b: bank_mod.DetectorBank, path: Path) -> bank_mod.MNormStats:
+    """The stats in mnorm.json for bank ``b``; every defect is a DataFormatError naming the file."""
     try:
         with path.open("r", encoding="utf-8") as f:
             payload = json.load(f)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise data.DataFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from None
+    except RecursionError:
+        raise data.DataFormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise data.DataFormatError(f"{path}: expected a JSON object")
     for key, (kind, expected) in _MNORM_KEYS.items():
@@ -115,18 +122,22 @@ def _with_mnorm(b: bank_mod.DetectorBank, path: Path) -> bank_mod.DetectorBank:
     if tuple(payload["detector_ids"]) != b.speaker_ids:
         raise data.DataFormatError(f"{path}: detector ids do not match {BANK_FILE}")
     try:
-        return b.with_mnorm(
-            bank_mod.MNormStats(
-                np.array(payload["mu"], dtype=np.float64),
-                np.array(payload["sigma"], dtype=np.float64),
-                payload["cohort_size"],
-            )
+        stats = bank_mod.MNormStats(
+            np.array(payload["mu"], dtype=np.float64),
+            np.array(payload["sigma"], dtype=np.float64),
+            payload["cohort_size"],
         )
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise data.DataFormatError(f"{path}: {exc}") from None
+    if len(stats) != len(b):
+        raise data.DataFormatError(
+            f"{path}: {len(stats)} statistics for {len(b)} detectors in {BANK_FILE}"
+        )
+    return stats
 
 
-def load_bank(bank_dir) -> bank_mod.DetectorBank:
+def load_bank(bank_dir) -> tuple[bank_mod.DetectorBank, bank_mod.MNormStats | None]:
+    """The bank in ``bank_dir`` and the stats of its mnorm.json, None when there is none."""
     bank_dir = Path(bank_dir)
     bank_path = bank_dir / BANK_FILE
     if not bank_path.exists():
@@ -137,9 +148,7 @@ def load_bank(bank_dir) -> bank_mod.DetectorBank:
     except ValueError as exc:
         raise data.DataFormatError(f"{bank_path}: {exc}") from None
     stats_path = bank_dir / MNORM_FILE
-    if stats_path.exists():
-        b = _with_mnorm(b, stats_path)
-    return b
+    return b, _load_mnorm(b, stats_path) if stats_path.exists() else None
 
 
 def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int]:
@@ -168,12 +177,15 @@ def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int]:
     return mapping
 
 
-def _mnorm_for(b: bank_mod.DetectorBank, norm_mode: str) -> bank_mod.MNormStats | None:
-    if norm_mode != "none" and b.mnorm is None:
+def _mnorm_for(stats: bank_mod.MNormStats | None, norm_mode: str) -> bank_mod.MNormStats | None:
+    """The stats that ``--norm-mode`` applies, or None for none."""
+    if norm_mode == "none":
+        return None
+    if stats is None:
         raise ValueError(
             f"normalization mode {norm_mode!r} needs {MNORM_FILE} in the bank directory"
         )
-    return b.mnorm
+    return stats.for_mode(norm_mode)
 
 
 def cmd_enroll(args) -> int:
@@ -183,17 +195,17 @@ def cmd_enroll(args) -> int:
     b = bank_mod.enroll(train, augment)
     cohort = train if augment is None else data.concatenate([train, augment])
     stats = bank_mod.compute_mnorm_stats(b, cohort)
-    save_bank(b.with_mnorm(stats), Path(args.out_dir))
+    save_bank(b, stats, Path(args.out_dir))
     print(f"enrolled S={len(b)} D={b.dimension} cohort={stats.cohort_size}")
     return 0
 
 
 def cmd_score(args) -> int:
     _check_out_file(args.out)
-    b = load_bank(args.bank)
-    stats = _mnorm_for(b, args.norm_mode)
+    b, stats = load_bank(args.bank)
+    stats = _mnorm_for(stats, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
-    data.save_scores(bank_mod.score_blocks(b, trials, stats, args.norm_mode), args.out)
+    data.save_scores(bank_mod.score_blocks(b, trials, stats), args.out)
     print(f"scored trials={len(trials)} detectors={len(b)}")
     return 0
 
@@ -203,15 +215,15 @@ def cmd_eval(args) -> int:
     if args.det_points < 2:
         raise ValueError(f"--det-points must be at least 2, got {args.det_points}")
     _check_out_dir(args.out_dir)
-    b = load_bank(args.bank)
-    stats = _mnorm_for(b, args.norm_mode)
+    b, stats = load_bank(args.bank)
+    stats = _mnorm_for(stats, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
     mapping = _load_labels(args.labels, b)
     for utt in trials.utterance_ids:
         if utt not in mapping:
             raise ValueError(f"{args.labels}: missing label for trial {utt!r}")
     truth = np.array([mapping[utt] for utt in trials.utterance_ids], dtype=np.int64)
-    (y_star,), (h_star,) = bank_mod.stack_scores(b, trials, [len(b)], [stats], args.norm_mode)
+    (y_star,), (h_star,) = bank_mod.stack_scores(b, trials, [len(b)], [stats])
     top_s, top_1 = metrics.sweep_both(y_star, h_star, truth)
 
     out_dir = Path(args.out_dir)

@@ -4,8 +4,8 @@ On-disk formats (all UTF-8, LF line endings):
 
 * embedding CSV, headerless: ``utterance_id,speaker_id,v1,...,vD`` with ``-``
   in the speaker column marking an unlabeled utterance,
-* score CSV: header row naming the columns (``utterance_id`` followed by the
-  detector speaker ids), then one row per trial,
+* score CSV, written and never read: header row naming the columns
+  (``utterance_id`` followed by the detector speaker ids), then one row per trial,
 * manifest: ``key=value`` lines, one per manifest field.
 
 Floats are written with shortest round-trip repr and parsed as binary64, so
@@ -19,7 +19,7 @@ files written inside one ``output_group`` appear together.  Both read
 paths parse values bit-exactly: numpy's ``loadtxt``, which parses embedding
 values in blocks of lines, uses the same correctly rounded conversion as
 ``float()`` (CPython's ``PyOS_string_to_double``), and the csv row loop that
-handles every other file calls ``float()`` itself.
+handles the embedding files numpy declines calls ``float()`` itself.
 """
 
 from __future__ import annotations
@@ -480,43 +480,6 @@ def save_scores(matrix: ScoreMatrix | Iterable[ScoreMatrix], path) -> None:
             del block  # free it before a generator scores the next one
         if detector_ids is None:
             raise ValueError("no score blocks to write")
-
-
-def load_scores(path) -> ScoreMatrix:
-    path = Path(path)
-    with open_text(path) as f:
-        records = csv_records(f, path)
-        _, header = next(records, (None, None))
-        if header is None:
-            raise DataFormatError(f"{path}: empty score file")
-        if not header or header[0] != "utterance_id":
-            raise DataFormatError(f"{path}: score header must start with 'utterance_id'")
-        detector_ids = header[1:]
-        if not detector_ids:
-            raise DataFormatError(f"{path}: score header names no detectors")
-        trials: list[str] = []
-        rows: list[list[float]] = []
-        for rownum, rec in records:
-            if len(rec) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {rownum}: {len(rec)} fields, expected {len(header)}"
-                )
-            try:
-                vec = [float(v) for v in rec[1:]]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {rownum}: unparseable float value"
-                ) from None
-            if not all(math.isfinite(v) for v in vec):
-                raise DataFormatError(f"{path}: row {rownum}: non-finite value")
-            trials.append(rec[0])
-            rows.append(vec)
-    scores = (
-        np.array(rows, dtype=np.float64)
-        if rows
-        else np.zeros((0, len(detector_ids)))
-    )
-    return ScoreMatrix(trials, detector_ids, scores)
 
 
 @dataclass(frozen=True)

@@ -226,8 +226,9 @@ def run_size_sweep(
         if norm_mode != "none":
             # train is blacklist-only and speaker-major: size k's cohort is its first k*u rows
             u = train_utts_per_speaker
-            stats = _cohort_stats(full_bank, pop.train, [(k * u, k) for k in sizes])
-        y_star, h_star = stack_scores(full_bank, pop.test, sizes, stats, norm_mode)
+            corners = [(k * u, k) for k in sizes]
+            stats = [st.for_mode(norm_mode) for st in _cohort_stats(full_bank, pop.train, corners)]
+        y_star, h_star = stack_scores(full_bank, pop.test, sizes, stats)
         del pop  # free this population before the next one is drawn
         for ki, k in enumerate(sizes):
             keep = truth < k  # backgrounds (-1) and enrolled speakers

@@ -16,7 +16,6 @@ from stackdet.bank import (
     apply_mnorm,
     compute_mnorm_stats,
     enroll,
-    length_normalize,
     mnorm_stats_from_scores,
     score_all,
     score_blocks,
@@ -43,23 +42,21 @@ def unit_set(ids, spks, xs):
 
 
 class TestLengthNormalize:
+    """``_normalize_rows``, the one normalizer of enrollment and trials."""
+
     def test_three_four_five(self):
-        assert length_normalize([3.0, 4.0]).tolist() == [0.6, 0.8]
+        rows = bank_mod._normalize_rows(np.array([[3.0, 4.0], [0.0, -2.0]]), ["u", "v"])
+        assert rows.tolist() == [[0.6, 0.8], [0.0, -1.0]]
 
     def test_unit_vector_unchanged(self):
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(16)
-        u = length_normalize(v)
-        assert np.abs(length_normalize(u) - u).max() < 1e-15
-        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+        u = bank_mod._normalize_rows(rng.standard_normal((3, 16)), ["a", "b", "c"])
+        assert np.abs(bank_mod._normalize_rows(u, ["a", "b", "c"]) - u).max() < 1e-15
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() < 1e-12
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            length_normalize([0.0, 0.0, 0.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            length_normalize([1.0, float("inf")])
+        with pytest.raises(ValueError, match="zero vector for utterance 'b'"):
+            bank_mod._normalize_rows(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), ["a", "b"])
 
 
 class TestEnroll:
@@ -74,7 +71,7 @@ class TestEnroll:
         v = [2.0, -1.0, 2.0]
         es = EmbeddingSet(["u1", "u2", "u3"], ["a"] * 3, [v, v, v])
         b = enroll(es)
-        assert np.abs(b.directions[0] - length_normalize(v)).max() < 1e-12
+        assert np.abs(b.directions[0] - np.divide(v, np.linalg.norm(v))).max() < 1e-12
 
     def test_order_is_first_appearance(self):
         es = EmbeddingSet(
@@ -219,8 +216,11 @@ class TestMNorm:
         assert apply_mnorm(m, stats, "shift").scores[0, 0] == 1.0
         assert apply_mnorm(m, stats, "scale").scores[0, 0] == 0.75
         assert apply_mnorm(m, stats, "none") is m
+        assert apply_mnorm(m, None, "none") is m
         with pytest.raises(ValueError, match="mode"):
             apply_mnorm(m, stats, "bogus")
+        with pytest.raises(ValueError, match="requires normalization statistics"):
+            apply_mnorm(m, None, "full")
 
     def test_size_mismatch(self):
         stats = MNormStats(np.zeros(2), np.ones(2), 4)
@@ -274,6 +274,48 @@ class TestMNorm:
                 "full",
             )
             assert np.abs(base.scores - moved.scores).max() < 1e-10
+
+
+# Each mode's own formula, the oracle ``for_mode`` is checked against.
+MODE_FORMULAS = {
+    "full": lambda y, mu, sigma: (y - mu) / sigma,
+    "shift": lambda y, mu, sigma: y - mu,
+    "scale": lambda y, mu, sigma: y / sigma,
+    "none": lambda y, mu, sigma: y,
+}
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7e308]
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)
+)
+positive_floats = st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False), st.sampled_from([5e-324, 1.0, 1e300])
+)
+
+
+class TestForMode:
+    @pytest.mark.parametrize("mode", NORM_MODES)
+    @settings(deadline=None, max_examples=200)
+    @given(k=st.integers(1, 4), n=st.integers(0, 5), data=st.data())
+    def test_resolved_stats_apply_the_mode_formula(self, mode, k, n, data):
+        column = st.lists(finite_floats, min_size=k, max_size=k)
+        mu = np.array(data.draw(column))
+        sigma = np.array(data.draw(st.lists(positive_floats, min_size=k, max_size=k)))
+        y = np.array(data.draw(st.lists(column, min_size=n, max_size=n)), dtype=np.float64)
+        y = y.reshape(n, k)
+        resolved = MNormStats(mu, sigma, 3).for_mode(mode)
+        with np.errstate(over="ignore", under="ignore"):
+            want = MODE_FORMULAS[mode](y, mu, sigma)
+            got = y if resolved is None else bank_mod._mnorm(y, resolved)
+        assert (resolved is None) == (mode == "none")
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_modes_and_their_formulas_agree(self):
+        assert set(MODE_FORMULAS) == set(NORM_MODES)
+        stats = MNormStats(np.array([0.5]), np.array([2.0]), 4)
+        assert stats.for_mode("full") is stats
+        assert stats.for_mode("shift").cohort_size == stats.for_mode("scale").cohort_size == 4
+        with pytest.raises(ValueError, match="normalization mode must be one of"):
+            stats.for_mode("zscore")
 
 
 def dense_stats(scores):
@@ -380,9 +422,9 @@ class TestCohortStats:
             seen["train"] = train
             return real_enroll(train, *args)
 
-        def spy_stack(bank, trials, sizes, stats, mode):
+        def spy_stack(bank, trials, sizes, stats):
             seen["stats"], seen["bank"] = stats, bank
-            return real_stack(bank, trials, sizes, stats, mode)
+            return real_stack(bank, trials, sizes, stats)
 
         monkeypatch.setattr(synth, "enroll", spy_enroll)
         monkeypatch.setattr(synth, "stack_scores", spy_stack)
@@ -412,23 +454,6 @@ class TestCohortStats:
 
 
 class TestDetectorBank:
-    def test_take_prefix(self):
-        rng = np.random.default_rng(8)
-        b = enroll(
-            EmbeddingSet(
-                [f"u{i}" for i in range(4)],
-                [f"s{i}" for i in range(4)],
-                rng.standard_normal((4, 6)),
-            )
-        )
-        head = b.take(2)
-        assert head.speaker_ids == b.speaker_ids[:2]
-        assert np.array_equal(head.directions, b.directions[:2])
-        with pytest.raises(ValueError):
-            b.take(0)
-        with pytest.raises(ValueError):
-            b.take(9)
-
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError, match="unit length"):
             DetectorBank(("a",), np.array([[1.0, 1.0]]))
@@ -458,7 +483,7 @@ def kernel_case(seed, dim, n_unique, n_det, n_trials, sizes):
 
 def assert_kernel_matches_dense(seed, dim, n_unique, n_det, n_trials, sizes, mode):
     bank, trials, stats = kernel_case(seed, dim, n_unique, n_det, n_trials, sizes)
-    y1, h1 = stack_scores(bank, trials, sizes, stats, mode)
+    y1, h1 = stack_scores(bank, trials, sizes, [st.for_mode(mode) for st in stats])
     assert y1.shape == h1.shape == (len(sizes), n_trials)
     dense = score_all(bank, trials)
     for i, (k, st) in enumerate(zip(sizes, stats)):
@@ -502,7 +527,7 @@ class TestStackScores:
             with pytest.raises(ValueError, match="non-finite"):
                 apply_mnorm(score_all(bank, trials), tiny, "scale")
             with pytest.raises(ValueError, match="non-finite"):
-                stack_scores(bank, trials, [3], [tiny], "scale")
+                stack_scores(bank, trials, [3], [tiny.for_mode("scale")])
 
     def test_argument_checks(self):
         bank, trials, stats = kernel_case(5, 4, 2, 3, 10, [2, 3])
@@ -512,14 +537,10 @@ class TestStackScores:
             stack_scores(bank, trials, [4])
         with pytest.raises(ValueError, match=r"1\.\.3, got \[0, 2\]"):
             stack_scores(bank, trials, [0, 2])
-        with pytest.raises(ValueError, match="requires normalization statistics"):
-            stack_scores(bank, trials, [2, 3], None, "full")
         with pytest.raises(ValueError, match="1 sets of normalization statistics for 2"):
-            stack_scores(bank, trials, [2, 3], stats[:1], "full")
+            stack_scores(bank, trials, [2, 3], stats[:1])
         with pytest.raises(ValueError, match="size mismatch"):
-            stack_scores(bank, trials, [3, 2], stats, "full")
-        with pytest.raises(ValueError, match="normalization mode"):
-            stack_scores(bank, trials, [2, 3], None, "zscore")
+            stack_scores(bank, trials, [3, 2], stats)
         wide = EmbeddingSet(["t"], [None], [[1.0] * 5])
         with pytest.raises(ValueError, match="dimension mismatch"):
             stack_scores(bank, wide, [3])
@@ -531,13 +552,13 @@ class TestInPlaceMNorm:
         outs = []
         real = bank_mod._mnorm
 
-        def spy(scores, stats, mode, out=None):
+        def spy(scores, stats, out=None):
             outs.append(out)
-            return real(scores, stats, mode, out)
+            return real(scores, stats, out)
 
         monkeypatch.setattr(bank_mod, "_mnorm", spy)
         bank, trials, stats = kernel_case(11, 3, 2, 6, 5, sizes)
-        y, h = stack_scores(bank, trials, sizes, stats, "full")
+        y, h = stack_scores(bank, trials, sizes, stats)
         assert [out.shape for out in outs] == [(5, k) for k in sizes]
         assert all(out.flags.c_contiguous for out in outs)
         monkeypatch.setattr(bank_mod, "_mnorm", real)
@@ -549,7 +570,7 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("mode", NORM_MODES)
     def test_blocks_concatenate_to_the_dense_matrix(self, n_trials, mode):
         bank, trials, (stats,) = kernel_case(13, 3, 2, 5, n_trials, [5])
-        blocks = list(score_blocks(bank, trials, stats, mode))
+        blocks = list(score_blocks(bank, trials, stats.for_mode(mode)))
         assert [len(b.trial_ids) for b in blocks] == [
             min(_CHUNK, n_trials - a) for a in range(0, n_trials, _CHUNK)
         ]
@@ -564,7 +585,7 @@ class TestScoreBlocks:
 
     def test_arguments_checked_before_the_first_block(self):
         bank, trials, _ = kernel_case(13, 3, 2, 5, 4, [5])
-        with pytest.raises(ValueError, match="requires normalization statistics"):
-            score_blocks(bank, trials, None, "full")
+        with pytest.raises(ValueError, match="size mismatch: 4 stats vs 5 detectors"):
+            score_blocks(bank, trials, MNormStats(np.zeros(4), np.ones(4), 1))
         with pytest.raises(ValueError, match="dimension mismatch"):
             score_blocks(bank, EmbeddingSet(["t"], [None], [[1.0, 0.0]]))

@@ -13,7 +13,7 @@ import pytest
 from stackdet import bank as bank_mod
 from stackdet import cli, data, synth
 from stackdet.bank import apply_mnorm, compute_mnorm_stats, enroll, score_all
-from stackdet.data import EmbeddingSet, load_scores, save_embeddings
+from stackdet.data import EmbeddingSet, save_embeddings, save_scores
 from stackdet.metrics import stack_reduce, sweep_both
 from stackdet.synth import PartitionSpec, PopulationConfig, generate_population
 
@@ -111,14 +111,14 @@ class TestEnroll:
         cli.main(
             ["enroll", "--train", str(root / "train_blacklist.csv"), "--out-dir", str(out)]
         )
-        loaded = cli.load_bank(out)
+        loaded, stats = cli.load_bank(out)
         direct = enroll(train_bl)
         assert loaded.speaker_ids == direct.speaker_ids
         assert loaded.directions.tobytes() == direct.directions.tobytes()
         direct_stats = compute_mnorm_stats(direct, train_bl)
-        assert loaded.mnorm.mu.tobytes() == direct_stats.mu.tobytes()
-        assert loaded.mnorm.sigma.tobytes() == direct_stats.sigma.tobytes()
-        assert loaded.mnorm.cohort_size == direct_stats.cohort_size
+        assert stats.mu.tobytes() == direct_stats.mu.tobytes()
+        assert stats.sigma.tobytes() == direct_stats.sigma.tobytes()
+        assert stats.cohort_size == direct_stats.cohort_size
 
 
 @pytest.fixture(scope="module")
@@ -156,13 +156,11 @@ class TestScore:
         expected = apply_mnorm(
             score_all(b, pop.test), compute_mnorm_stats(b, train_bl), "full"
         )
-        got = load_scores(out)
-        assert got.trial_ids == expected.trial_ids
-        assert got.detector_ids == expected.detector_ids
-        assert got.scores.tobytes() == expected.scores.tobytes()
+        save_scores(expected, tmp_path / "expected.csv")
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_norm_mode_changes_scores(self, workspace, bank_dir, tmp_path):
-        root, _, _ = workspace
+        root, pop, train_bl = workspace
         args = [
             "score",
             "--bank",
@@ -172,10 +170,15 @@ class TestScore:
         ]
         assert cli.main(args + ["--out", str(tmp_path / "raw.csv"), "--norm-mode", "none"]) == 0
         assert cli.main(args + ["--out", str(tmp_path / "full.csv"), "--norm-mode", "full"]) == 0
-        raw = load_scores(tmp_path / "raw.csv")
-        full = load_scores(tmp_path / "full.csv")
-        assert raw.detector_ids == full.detector_ids
-        assert not np.array_equal(raw.scores, full.scores)
+        b = enroll(train_bl)
+        raw = score_all(b, pop.test)
+        save_scores(raw, tmp_path / "raw_expected.csv")
+        full = apply_mnorm(raw, compute_mnorm_stats(b, train_bl))
+        save_scores(full, tmp_path / "full_expected.csv")
+        for name in ("raw", "full"):
+            got = (tmp_path / f"{name}.csv").read_bytes()
+            assert got == (tmp_path / f"{name}_expected.csv").read_bytes()
+        assert (tmp_path / "raw.csv").read_bytes() != (tmp_path / "full.csv").read_bytes()
 
 
 def reference_score_csv(matrix) -> bytes:
@@ -201,8 +204,8 @@ class TestStreamedScore:
         out = tmp_path / "scores.csv"
         argv = ["score", "--bank", str(bank_dir), "--trials", str(tmp_path / "trials.csv")]
         assert cli.main(argv + ["--out", str(out), "--norm-mode", mode]) == 0
-        b = cli.load_bank(bank_dir)
-        expected = apply_mnorm(score_all(b, trials), b.mnorm, mode)
+        b, stats = cli.load_bank(bank_dir)
+        expected = apply_mnorm(score_all(b, trials), stats, mode)
         assert out.read_bytes() == reference_score_csv(expected)
 
     def test_overflow_in_a_later_block_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
@@ -210,7 +213,7 @@ class TestStreamedScore:
         b = bank_mod.DetectorBank(("d1", "d2"), [[1.0, 0.0], [0.0, 1.0]])
         # d2's scores overflow unless they are exactly 0
         stats = bank_mod.MNormStats(np.zeros(2), np.array([1.0, 5e-324]), 3)
-        cli.save_bank(b.with_mnorm(stats), tmp_path / "bank")
+        cli.save_bank(b, stats, tmp_path / "bank")
         # the first block is orthogonal to d2; the second is not
         trials = EmbeddingSet(["t1", "t2", "t3"], [None] * 3, [[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
         save_embeddings(trials, tmp_path / "trials.csv")
@@ -366,14 +369,27 @@ class TestMalformedBank:
             (lambda p: p.update(cohort_size=2.5), "key 'cohort_size' must be an integer"),
             (lambda p: p.update(schema_version=99), "unsupported schema_version 99"),
             (lambda p: p.update(sigma=p["sigma"][:-1]), "mu and sigma"),
+            (lambda p: p["mu"].insert(0, 10**400), "int too large to convert to float"),
+            (
+                lambda p: p.update(mu=p["mu"][:-1], sigma=p["sigma"][:-1]),
+                "7 statistics for 8 detectors in bank.csv",
+            ),
         ],
     )
     def test_bad_mnorm_is_a_clean_error(self, workspace, broken_bank, tmp_path, capsys, edit, message):
-        root, _, _ = workspace
         path = broken_bank / "mnorm.json"
         payload = json.loads(path.read_text("utf-8"))
         edit(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
+        self.assert_clean_eval_error(workspace, broken_bank, tmp_path, capsys, message)
+
+    def test_deeply_nested_mnorm_is_a_clean_error(self, workspace, broken_bank, tmp_path, capsys):
+        text = "[" * 100000 + "]" * 100000
+        (broken_bank / "mnorm.json").write_text(text, encoding="utf-8")
+        self.assert_clean_eval_error(workspace, broken_bank, tmp_path, capsys, "nested too deeply")
+
+    def assert_clean_eval_error(self, workspace, broken_bank, tmp_path, capsys, message):
+        root, _, _ = workspace
         rc = cli.main(
             [
                 "eval",
@@ -385,8 +401,8 @@ class TestMalformedBank:
         )
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:")
-        assert str(path) in err and message in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(broken_bank / "mnorm.json") in err and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -662,8 +678,12 @@ class TestFlagsCheckedFirst:
 
     def test_save_bank_without_stats_writes_nothing(self, workspace, tmp_path):
         _, _, train_bl = workspace
-        with pytest.raises(ValueError, match="normalization statistics"):
-            cli.save_bank(enroll(train_bl), tmp_path / "bank")
+        b = enroll(train_bl)
+        full = compute_mnorm_stats(b, train_bl)
+        short = bank_mod.MNormStats(full.mu[:-1], full.sigma[:-1], full.cohort_size)
+        for stats in (None, short):
+            with pytest.raises(ValueError, match="normalization statistics do not match"):
+                cli.save_bank(b, stats, tmp_path / "bank")
         assert not (tmp_path / "bank").exists()
 
 
@@ -687,7 +707,7 @@ class TestEvalFullScale:
                 f.write(f"{utt},{spk if spk is not None else '-'}\n")
         bank_dir = tmp_path / "bank"
         assert cli.main(["enroll", "--train", str(train_csv), "--out-dir", str(bank_dir)]) == 0
-        assert cli.load_bank(bank_dir).mnorm.cohort_size == 10893
+        assert cli.load_bank(bank_dir)[1].cohort_size == 10893
         out = tmp_path / "eval"
         assert cli.main(
             [

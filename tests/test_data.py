@@ -15,7 +15,6 @@ from stackdet.data import (
     concatenate,
     load_embeddings,
     load_manifest,
-    load_scores,
     save_embeddings,
     save_manifest,
     save_scores,
@@ -277,7 +276,10 @@ class TestScoreMatrix:
             rng.standard_normal((10, 4)),
         )
         save_scores(m, tmp_path / "s.csv")
-        back = load_scores(tmp_path / "s.csv")
+        with open(tmp_path / "s.csv", encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        back = ScoreMatrix([r[0] for r in rows], header[1:], [[float(v) for v in r[1:]] for r in rows])
+        assert header[0] == "utterance_id"
         assert back == m
         assert back.scores.tobytes() == m.scores.tobytes()
 
@@ -290,28 +292,6 @@ class TestScoreMatrix:
             ScoreMatrix(["t1", "t2"], ["d"], [[0.1]])
         with pytest.raises(ValueError, match="duplicate trial id"):
             ScoreMatrix(["t", "t"], ["d"], [[0.1], [0.2]])
-
-    def test_load_rejects_bad_header(self, tmp_path):
-        p = write(tmp_path / "s.csv", "nope,d1\nt1,0.5\n")
-        with pytest.raises(DataFormatError, match="utterance_id"):
-            load_scores(p)
-
-    def test_load_rejects_non_utf8(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_bytes(b"utterance_id,d1\nt1,0.\xff5\n")
-        with pytest.raises(DataFormatError, match=r"s\.csv: line 2, byte 21: not valid UTF-8"):
-            load_scores(p)
-
-    def test_load_rejects_ragged_row(self, tmp_path):
-        p = write(tmp_path / "s.csv", "utterance_id,d1,d2\nt1,0.5\n")
-        with pytest.raises(DataFormatError, match="row 2"):
-            load_scores(p)
-
-    def test_load_names_the_row_of_an_oversized_field(self, tmp_path):
-        big = "9" * (csv.field_size_limit() + 1)
-        p = write(tmp_path / "s.csv", f"utterance_id,d1\nt1,0.5\nt2,{big}\n")
-        with pytest.raises(DataFormatError, match=r"s\.csv: row 3: field larger than field limit"):
-            load_scores(p)
 
     def test_no_detectors_rejected(self):
         with pytest.raises(ValueError, match="at least one detector"):
@@ -411,11 +391,6 @@ class TestRowWriter:
         back = load_embeddings(tmp / "rt.csv")
         assert back == rt
         assert back.vectors.view(np.uint64).tobytes() == vecs.view(np.uint64).tobytes()
-        save_scores(ScoreMatrix(rt.utterance_ids, dets, vecs), tmp / "rt_s.csv")
-        scores_back = load_scores(tmp / "rt_s.csv")
-        assert scores_back.trial_ids == rt.utterance_ids
-        assert scores_back.detector_ids == tuple(dets)
-        assert scores_back.scores.view(np.uint64).tobytes() == vecs.view(np.uint64).tobytes()
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         p = write(tmp_path / "e.csv", "old\n")

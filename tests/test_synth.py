@@ -159,7 +159,7 @@ class TestSubsetConsistency:
             mask = [s in first_k_speakers for s in pop.train.speaker_ids]
             sub = enroll(pop.train.subset(mask))
             assert sub.speaker_ids == full.speaker_ids[:k]
-            assert sub.directions.tobytes() == full.take(k).directions.tobytes()
+            assert sub.directions.tobytes() == full.directions[:k].tobytes()
 
 
 class TestRunSizeSweep:
