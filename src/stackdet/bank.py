@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import EmbeddingSet, ScoreMatrix, concatenate
+from .data import EmbeddingSet, ScoreMatrix, _float_array, _store, _unique_ids
 
 ZERO_NORM = 1e-15
 SIGMA_FLOOR = 1e-12
@@ -36,10 +36,14 @@ _CHUNK = 2048
 
 
 def _normalize_rows(mat: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1)
-    bad = np.flatnonzero(norms < ZERO_NORM)
+    # a finite row can have a norm past the float range; it is an error, not a warning
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=1)
+    bad = np.flatnonzero((norms < ZERO_NORM) | np.isinf(norms))
     if bad.size:
-        raise ValueError(f"zero vector for utterance {ids[bad[0]]!r}")
+        i = bad[0]
+        what = "zero vector" if norms[i] < ZERO_NORM else "vector norm overflows"
+        raise ValueError(f"{what} for utterance {ids[i]!r}")
     return mat / norms[:, None]
 
 
@@ -52,20 +56,15 @@ class MNormStats:
     cohort_size: int
 
     def __post_init__(self) -> None:
-        mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
-        if mu.ndim != 1 or sigma.shape != mu.shape:
+        mu = _float_array(self.mu, 1, "mu")
+        sigma = _float_array(self.sigma, 1, "sigma")
+        if sigma.shape != mu.shape:
             raise ValueError("mu and sigma must be 1-D arrays of equal length")
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-            raise ValueError("non-finite normalization statistics")
         if (sigma <= 0).any():
             raise ValueError("sigma must be positive for every detector")
         if self.cohort_size < 1:
             raise ValueError("cohort_size must be positive")
-        mu.flags.writeable = False
-        sigma.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        _store(self, mu=mu, sigma=sigma)
 
     def __len__(self) -> int:
         return self.mu.shape[0]
@@ -97,28 +96,18 @@ class DetectorBank:
     directions: np.ndarray  # (S, D), unit-norm rows
 
     def __post_init__(self) -> None:
-        directions = np.ascontiguousarray(self.directions, dtype=np.float64)
-        if directions.ndim != 2:
-            raise ValueError("directions must be a 2-D array")
-        s, _ = directions.shape
-        if s < 1:
+        directions = _float_array(self.directions, 2, "directions")
+        if len(directions) < 1:
             raise ValueError("a detector bank needs at least one model")
-        ids = tuple(str(i) for i in self.speaker_ids)
-        if len(ids) != s:
-            raise ValueError("speaker id count does not match model count")
-        if len(set(ids)) != s:
-            raise ValueError("duplicate speaker id in bank")
-        if not np.isfinite(directions).all():
-            raise ValueError("directions contain non-finite values")
-        norms = np.linalg.norm(directions, axis=1)
+        ids = _unique_ids(self.speaker_ids, len(directions), "speaker id")
+        with np.errstate(over="ignore"):  # an overflowing norm is not unit length
+            norms = np.linalg.norm(directions, axis=1)
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
         if off.size:
             raise ValueError(
                 f"model for speaker {ids[off[0]]!r} is not unit length"
             )
-        directions.flags.writeable = False
-        object.__setattr__(self, "speaker_ids", ids)
-        object.__setattr__(self, "directions", directions)
+        _store(self, speaker_ids=ids, directions=directions)
 
     @property
     def dimension(self) -> int:
@@ -128,14 +117,12 @@ class DetectorBank:
         return self.directions.shape[0]
 
 
-def enroll(train: EmbeddingSet, augment: EmbeddingSet | None = None) -> DetectorBank:
+def enroll(pooled: EmbeddingSet) -> DetectorBank:
     """Build one unit-direction model per labeled speaker.
 
-    Utterances are length-normalized, averaged per speaker (pooled across
-    train and augment), and the mean renormalized.  Model order is first
-    appearance in the pooled utterance stream.
+    Utterances are length-normalized, averaged per speaker, and the mean
+    renormalized.  Model order is first appearance in ``pooled``.
     """
-    pooled = train if augment is None else concatenate([train, augment])
     if len(pooled) == 0:
         raise ValueError("no utterances to enroll")
     for utt, spk in zip(pooled.utterance_ids, pooled.speaker_ids):

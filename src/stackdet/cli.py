@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -190,11 +191,11 @@ def _mnorm_for(stats: bank_mod.MNormStats | None, norm_mode: str) -> bank_mod.MN
 
 def cmd_enroll(args) -> int:
     _check_out_dir(args.out_dir)
-    train = data.load_embeddings(args.train)
-    augment = data.load_embeddings(args.augment) if args.augment else None
-    b = bank_mod.enroll(train, augment)
-    cohort = train if augment is None else data.concatenate([train, augment])
-    stats = bank_mod.compute_mnorm_stats(b, cohort)
+    pooled = data.load_embeddings(args.train)
+    if args.augment:
+        pooled = data.concatenate([pooled, data.load_embeddings(args.augment)])
+    b = bank_mod.enroll(pooled)
+    stats = bank_mod.compute_mnorm_stats(b, pooled)
     save_bank(b, stats, Path(args.out_dir))
     print(f"enrolled S={len(b)} D={b.dimension} cohort={stats.cohort_size}")
     return 0
@@ -270,12 +271,7 @@ def cmd_simulate(args) -> int:
     )
     test_spec = synth.default_partition_specs()[2]
     if max(sizes) > test_spec.blacklist_speakers:
-        test_spec = synth.PartitionSpec(
-            max(sizes),
-            test_spec.background_speakers,
-            test_spec.blacklist_utts_per_speaker,
-            test_spec.background_utts,
-        )
+        test_spec = replace(test_spec, blacklist_speakers=max(sizes))
     result = synth.run_size_sweep(
         config,
         sizes,
@@ -291,19 +287,11 @@ def cmd_simulate(args) -> int:
         out_dir / "size_sweep.json",
         config={
             "subcommand": "simulate",
-            "dimension": config.dimension,
-            "speaker_spread": config.speaker_spread,
-            "channel_spread": config.channel_spread,
-            "seed": config.seed,
+            **asdict(config),
             "sizes": sizes,
             "replicates": args.replicates,
             "norm_mode": args.norm_mode,
-            "test_spec": {
-                "blacklist_speakers": test_spec.blacklist_speakers,
-                "background_speakers": test_spec.background_speakers,
-                "blacklist_utts_per_speaker": test_spec.blacklist_utts_per_speaker,
-                "background_utts": test_spec.background_utts,
-            },
+            "test_spec": asdict(test_spec),
         },
     )
     for k, s, o in zip(result.sizes, result.top_s_eer, result.top_1_eer):

@@ -29,7 +29,7 @@ import itertools
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -52,65 +52,80 @@ class DataFormatError(ValueError):
     """A file violates the frozen CSV or manifest format."""
 
 
+def _float_array(values, ndim: int, name: str) -> np.ndarray:
+    """``values`` as a C-contiguous float64 array of ``ndim`` dimensions, all finite.
+
+    An array that already is one is returned as it is, not copied.
+    """
+    array = np.ascontiguousarray(values, dtype=np.float64)
+    if array.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} contain non-finite values")
+    return array
+
+
+def _unique_ids(ids: Iterable, n: int, name: str) -> tuple[str, ...]:
+    """``ids`` as a tuple of ``n`` strings; the first repeated one is named."""
+    ids = tuple(str(i) for i in ids)
+    if len(ids) != n:
+        raise ValueError(f"expected {n} {name}s, got {len(ids)}")
+    if len(set(ids)) != n:
+        seen: set[str] = set()
+        repeated = next(i for i in ids if i in seen or seen.add(i))
+        raise ValueError(f"duplicate {name} {repeated!r}")
+    return ids
+
+
+def _store(record, **values) -> None:
+    """Set the fields of a frozen ``record`` and make its arrays read-only; call after every check."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(record, name, value)
+
+
+def _records_equal(a, b) -> bool:
+    """Field-by-field equality of two records of one type; arrays compare by shape and value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class EmbeddingSet:
     """Ordered, immutable collection of same-dimension embeddings.
 
     Rows follow construction (file) order; vectors are held as a
-    read-only (N, D) float64 array, safe to share across workers.
+    read-only (N, D) float64 array, so a set can be shared without copies.
     """
 
-    __slots__ = ("_utterance_ids", "_speaker_ids", "_vectors")
+    utterance_ids: tuple[str, ...]
+    speaker_ids: tuple[str | None, ...]
+    vectors: np.ndarray
 
-    def __init__(
-        self,
-        utterance_ids: Sequence[str],
-        speaker_ids: Sequence[str | None],
-        vectors,
-    ) -> None:
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError("vectors must be a 2-D (utterances x dimension) array")
+    def __post_init__(self) -> None:
+        vectors = _float_array(self.vectors, 2, "vectors")
         n, d = vectors.shape
         if d < 1:
             raise ValueError("embedding dimension must be >= 1")
-        if len(utterance_ids) != n or len(speaker_ids) != n:
-            raise ValueError("id lists do not match the number of vector rows")
-        if n and not np.isfinite(vectors).all():
-            raise ValueError("vectors contain non-finite values")
-        utts = tuple(str(u) for u in utterance_ids)
-        if any(not u for u in utts):
+        utts = _unique_ids(self.utterance_ids, n, "utterance id")
+        if "" in utts:
             raise ValueError("empty utterance id")
-        if len(set(utts)) != n:
-            seen: set[str] = set()
-            for u in utts:
-                if u in seen:
-                    raise ValueError(f"duplicate utterance id {u!r}")
-                seen.add(u)
-        vectors.flags.writeable = False
-        self._utterance_ids = utts
-        self._speaker_ids = tuple(
-            None if s is None else str(s) for s in speaker_ids
-        )
-        self._vectors = vectors
+        if len(self.speaker_ids) != n:
+            raise ValueError(f"expected {n} speaker ids, got {len(self.speaker_ids)}")
+        spks = tuple(None if s is None else str(s) for s in self.speaker_ids)
+        _store(self, utterance_ids=utts, speaker_ids=spks, vectors=vectors)
+
+    __eq__ = _records_equal
 
     @property
     def dimension(self) -> int:
-        return self._vectors.shape[1]
-
-    @property
-    def utterance_ids(self) -> tuple[str, ...]:
-        return self._utterance_ids
-
-    @property
-    def speaker_ids(self) -> tuple[str | None, ...]:
-        return self._speaker_ids
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self._vectors
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
-        return self._vectors.shape[0]
+        return self.vectors.shape[0]
 
     def subset(self, indices) -> "EmbeddingSet":
         """New set holding the given rows, in the given order."""
@@ -118,19 +133,9 @@ class EmbeddingSet:
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         return EmbeddingSet(
-            [self._utterance_ids[i] for i in idx],
-            [self._speaker_ids[i] for i in idx],
-            self._vectors[idx],
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmbeddingSet):
-            return NotImplemented
-        return (
-            self._utterance_ids == other._utterance_ids
-            and self._speaker_ids == other._speaker_ids
-            and self._vectors.shape == other._vectors.shape
-            and bool(np.array_equal(self._vectors, other._vectors))
+            [self.utterance_ids[i] for i in idx],
+            [self.speaker_ids[i] for i in idx],
+            self.vectors[idx],
         )
 
     def __repr__(self) -> str:
@@ -139,19 +144,17 @@ class EmbeddingSet:
 
 def concatenate(sets: Sequence[EmbeddingSet]) -> EmbeddingSet:
     """Stack sets in order; dimensions must agree and ids stay unique."""
-    sets = [s for s in sets if s is not None]
     if not sets:
         raise ValueError("nothing to concatenate")
     d = sets[0].dimension
     for s in sets[1:]:
         if s.dimension != d:
             raise ValueError(f"dimension mismatch: {s.dimension} vs {d}")
-    utts: list[str] = []
-    spks: list[str | None] = []
-    for s in sets:
-        utts.extend(s.utterance_ids)
-        spks.extend(s.speaker_ids)
-    return EmbeddingSet(utts, spks, np.vstack([s.vectors for s in sets]))
+    return EmbeddingSet(
+        [u for s in sets for u in s.utterance_ids],
+        [p for s in sets for p in s.speaker_ids],
+        np.vstack([s.vectors for s in sets]),
+    )
 
 
 # Characters of text per parse block: whole lines, at least this many.  Block
@@ -400,62 +403,35 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
         _write_rows(f, (embeddings.utterance_ids, spks), embeddings.vectors)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ScoreMatrix:
     """Trials x detectors score table with aligned id lists."""
 
-    __slots__ = ("_trial_ids", "_detector_ids", "_scores")
+    trial_ids: tuple[str, ...]
+    detector_ids: tuple[str, ...]
+    scores: np.ndarray
 
-    def __init__(self, trial_ids: Sequence[str], detector_ids: Sequence[str], scores) -> None:
-        scores = np.ascontiguousarray(scores, dtype=np.float64)
-        if scores.ndim != 2:
-            raise ValueError("scores must be a 2-D (trials x detectors) array")
+    def __post_init__(self) -> None:
+        scores = _float_array(self.scores, 2, "scores")
         t, s = scores.shape
         if s < 1:
             raise ValueError("a score matrix needs at least one detector")
-        trials = tuple(str(u) for u in trial_ids)
-        dets = tuple(str(u) for u in detector_ids)
-        if len(trials) != t or len(dets) != s:
-            raise ValueError("id lists do not match the score matrix shape")
-        if len(set(trials)) != t:
-            raise ValueError("duplicate trial id")
-        if len(set(dets)) != s:
-            raise ValueError("duplicate detector id")
-        if scores.size and not np.isfinite(scores).all():
-            raise ValueError("scores contain non-finite values")
-        scores.flags.writeable = False
-        self._trial_ids = trials
-        self._detector_ids = dets
-        self._scores = scores
+        _store(
+            self,
+            trial_ids=_unique_ids(self.trial_ids, t, "trial id"),
+            detector_ids=_unique_ids(self.detector_ids, s, "detector id"),
+            scores=scores,
+        )
 
-    @property
-    def trial_ids(self) -> tuple[str, ...]:
-        return self._trial_ids
-
-    @property
-    def detector_ids(self) -> tuple[str, ...]:
-        return self._detector_ids
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self._scores
+    __eq__ = _records_equal
 
     @property
     def n_trials(self) -> int:
-        return self._scores.shape[0]
+        return self.scores.shape[0]
 
     @property
     def n_detectors(self) -> int:
-        return self._scores.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScoreMatrix):
-            return NotImplemented
-        return (
-            self._trial_ids == other._trial_ids
-            and self._detector_ids == other._detector_ids
-            and self._scores.shape == other._scores.shape
-            and bool(np.array_equal(self._scores, other._scores))
-        )
+        return self.scores.shape[1]
 
     def __repr__(self) -> str:
         return f"ScoreMatrix(trials={self.n_trials}, detectors={self.n_detectors})"

@@ -77,8 +77,6 @@ def stack_reduce(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(y_star, h_star)`` arrays; ``bank.stack_scores`` reproduces them blockwise.
     """
-    if matrix.n_detectors < 1:
-        raise ValueError("empty detector set")
     if matrix.n_trials < 1:
         raise ValueError("empty score matrix")
     scores = matrix.scores

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,10 +43,10 @@ class PopulationConfig:
     def __post_init__(self) -> None:
         if self.dimension < 2:
             raise ValueError("dimension must be >= 2")
-        if not self.speaker_spread > 0:
-            raise ValueError("speaker_spread must be positive")
-        if self.channel_spread < 0:
-            raise ValueError("channel_spread must be non-negative")
+        if not 0 < self.speaker_spread < math.inf:
+            raise ValueError("speaker_spread must be positive and finite")
+        if not 0 <= self.channel_spread < math.inf:
+            raise ValueError("channel_spread must be non-negative and finite")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -21,7 +21,7 @@ from stackdet.bank import (
     score_blocks,
     stack_scores,
 )
-from stackdet.data import EmbeddingSet, ScoreMatrix
+from stackdet.data import EmbeddingSet, ScoreMatrix, concatenate
 from stackdet.metrics import stack_reduce
 
 
@@ -58,6 +58,11 @@ class TestLengthNormalize:
         with pytest.raises(ValueError, match="zero vector for utterance 'b'"):
             bank_mod._normalize_rows(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), ["a", "b"])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_rejected_without_a_warning(self):
+        with pytest.raises(ValueError, match="vector norm overflows for utterance 'b'"):
+            bank_mod._normalize_rows(np.array([[1.0, 0.0], [1e200, 1e200]]), ["a", "b"])
+
 
 class TestEnroll:
     def test_symmetric_mean(self):
@@ -84,7 +89,7 @@ class TestEnroll:
     def test_augment_pools_utterances(self):
         train = EmbeddingSet(["u1"], ["a"], [[1.0, 0.0]])
         augment = EmbeddingSet(["u2"], ["a"], [[0.0, 1.0]])
-        b = enroll(train, augment)
+        b = enroll(concatenate([train, augment]))
         assert len(b) == 1
         root_half = math.sqrt(2.0) / 2.0
         assert np.abs(b.directions[0] - [root_half, root_half]).max() < 1e-12
@@ -92,11 +97,18 @@ class TestEnroll:
     def test_augment_can_add_speakers(self):
         train = EmbeddingSet(["u1"], ["a"], [[1.0, 0.0]])
         augment = EmbeddingSet(["u2"], ["z"], [[0.0, 1.0]])
-        assert enroll(train, augment).speaker_ids == ("a", "z")
+        assert enroll(concatenate([train, augment])).speaker_ids == ("a", "z")
 
     def test_unlabeled_utterance_rejected(self):
         es = EmbeddingSet(["u1", "u2"], ["a", None], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="u2.*unlabeled"):
+            enroll(es)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [[[1e200, 1e200]], [[1e200, 1e200], [1.0, 0.5]]])
+    def test_overflowing_utterance_is_named(self, rows):
+        es = EmbeddingSet([f"a{i + 1}" for i in range(len(rows))], ["a"] * len(rows), rows)
+        with pytest.raises(ValueError, match="vector norm overflows for utterance 'a1'"):
             enroll(es)
 
     def test_empty_input_rejected(self):
@@ -108,7 +120,7 @@ class TestEnroll:
         train = EmbeddingSet(["u1"], ["a"], [[1.0, 0.0]])
         augment = EmbeddingSet(["u2"], ["a"], [[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            enroll(train, augment)
+            enroll(concatenate([train, augment]))
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1))
@@ -418,9 +430,9 @@ class TestCohortStats:
         seen = {}
         real_enroll, real_stack = synth.enroll, synth.stack_scores
 
-        def spy_enroll(train, *args):
+        def spy_enroll(train):
             seen["train"] = train
-            return real_enroll(train, *args)
+            return real_enroll(train)
 
         def spy_stack(bank, trials, sizes, stats):
             seen["stats"], seen["bank"] = stats, bank

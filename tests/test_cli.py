@@ -230,6 +230,35 @@ class TestStreamedScore:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+class TestOverflowingNorm:
+    """A finite row whose norm overflows a float is an error naming it, not a zero vector."""
+
+    def run(self, tmp_path, capsys, argv):
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", "error: vector norm overflows for utterance 'a1'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rows",
+        ["a1,a,1e200,1e200\na2,a,1.0,0.5\nb1,b,0.2,1.0\n", "a1,a,1e200,1e200\n"],
+        ids=["pooled", "only-utterance"],
+    )
+    def test_enroll(self, tmp_path, capsys, rows):
+        train = tmp_path / "train.csv"
+        train.write_text(rows, encoding="utf-8")
+        self.run(tmp_path, capsys, ["enroll", "--train", str(train), "--out-dir", str(tmp_path / "bank")])
+
+    @pytest.mark.filterwarnings("error")
+    def test_score(self, tmp_path, capsys):
+        b = bank_mod.DetectorBank(("d1", "d2"), [[1.0, 0.0], [0.0, 1.0]])
+        cli.save_bank(b, bank_mod.MNormStats(np.zeros(2), np.ones(2), 3), tmp_path / "bank")
+        (tmp_path / "trials.csv").write_text("a1,-,1e200,1e200\n", encoding="utf-8")
+        argv = ["score", "--bank", str(tmp_path / "bank"), "--trials", str(tmp_path / "trials.csv")]
+        self.run(tmp_path, capsys, argv + ["--out", str(tmp_path / "scores.csv"), "--norm-mode", "none"])
+
+
 class TestEval:
     def run_eval(self, workspace, bank_dir, out, extra=()):
         root, _, _ = workspace
@@ -417,10 +446,15 @@ class TestMalformedBank:
                 ],
                 "is not unit length",
             ),
+            (
+                lambda rows: [rows[0][:2] + [repr(1e200 * float(v)) for v in rows[0][2:]], *rows[1:]],
+                "not unit length",
+            ),
             (lambda rows: [rows[0], [rows[0][0], *rows[1][1:]], *rows[2:]], "duplicate utterance id"),
             (lambda rows: [rows[0][:2] + ["nan"] + rows[0][3:], *rows[1:]], "non-finite value"),
         ],
     )
+    @pytest.mark.filterwarnings("error")  # an overflowing norm warns nothing either
     def test_bad_bank_csv_is_a_clean_error(self, workspace, broken_bank, tmp_path, capsys, edit, message):
         root, _, _ = workspace
         path = broken_bank / "bank.csv"
@@ -686,6 +720,25 @@ class TestFlagsCheckedFirst:
                 cli.save_bank(b, stats, tmp_path / "bank")
         assert not (tmp_path / "bank").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--channel-spread", "nan", "channel_spread must be non-negative and finite"),
+            ("--channel-spread", "inf", "channel_spread must be non-negative and finite"),
+            ("--speaker-spread", "inf", "speaker_spread must be positive and finite"),
+        ],
+        ids=["channel-nan", "channel-inf", "speaker-inf"],
+    )
+    def test_non_finite_spread_draws_nothing(self, tmp_path, monkeypatch, capsys, flag, value, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a population was drawn")
+
+        monkeypatch.setattr(synth, "generate_population", no_draw)
+        argv = ["simulate", "--out-dir", str(tmp_path / "out"), "--sizes", "5", flag, value]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEvalFullScale:
     def test_full_benchmark_counts_match_library(self, tmp_path):
@@ -762,6 +815,11 @@ class TestSimulate:
         assert [r[0] for r in rows] == ["5", "8"]
         for _, top_s, top_1 in rows:
             assert float(top_1) >= float(top_s) - 1e-12
+        sidecar = json.loads(a["size_sweep.json"])
+        assert sidecar["replicate_count"] == 2
+        assert [[float(s), float(o)] for _, s, o in rows] == [
+            list(means) for means in zip(sidecar["mean"]["top_s_eer"], sidecar["mean"]["top_1_eer"])
+        ]
 
     def test_default_size_list_has_six_rows(self, tmp_path):
         rc = cli.main(

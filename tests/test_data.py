@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackdet import data
+from stackdet.bank import DetectorBank, MNormStats
 from stackdet.data import (
     DataFormatError,
     EmbeddingSet,
@@ -492,6 +494,72 @@ class TestValidatePartition:
         a = validate_partition(pop.dev, manifest, pop.blacklist_speaker_ids)
         b = validate_partition(pop.dev, manifest, pop.blacklist_speaker_ids)
         assert a == b
+
+
+UNIT_ROWS = [[0.6, 0.8], [1.0, 0.0]]
+
+# record -> (build it around one array, a valid array, a build that fails only
+# after that array passed its checks, the kind of id a repeat of "x" is named as)
+RECORDS = {
+    "EmbeddingSet": (
+        lambda a: EmbeddingSet(["u1", "u2"], ["s", None], a),
+        UNIT_ROWS,
+        lambda a: EmbeddingSet(["x", "x"], ["s", None], a),
+        "utterance id",
+    ),
+    "ScoreMatrix": (
+        lambda a: ScoreMatrix(["t1", "t2"], ["d1", "d2"], a),
+        UNIT_ROWS,
+        lambda a: ScoreMatrix(["t1", "t2"], ["x", "x"], a),
+        "detector id",
+    ),
+    "DetectorBank": (
+        lambda a: DetectorBank(["d1", "d2"], a),
+        UNIT_ROWS,
+        lambda a: DetectorBank(["x", "x"], a),
+        "speaker id",
+    ),
+    "MNormStats": (
+        lambda a: MNormStats(a, np.ones(len(a)), 3),
+        [0.5, -0.25],
+        lambda a: MNormStats(a, np.ones(len(a)), 0),
+        None,  # no ids
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_share_one_validation(name):
+    build, valid, late_failure, id_kind = RECORDS[name]
+    valid = np.array(valid)
+    if id_kind is not None:
+        with pytest.raises(ValueError, match=f"duplicate {id_kind} 'x'"):
+            late_failure(valid)
+    for bad in (np.nan, np.inf):
+        values = valid.copy()
+        values.flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            build(values)
+    with pytest.raises(ValueError, match=f"must be a {valid.ndim}-D array"):
+        build(valid[None])
+
+    shared = valid.copy()
+    record = build(shared)
+    arrays = [getattr(record, f.name) for f in fields(record)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert any(a is shared for a in arrays)  # a float64 array is held, not copied
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0].flat[0] = 0.0
+    for f in fields(record):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+
+    # frozen only once every check has passed
+    caller = valid.copy()
+    with pytest.raises(ValueError):
+        late_failure(caller)
+    assert caller.flags.writeable
 
 
 class TestConcatenate:

@@ -1,7 +1,6 @@
-"""The scripts under scripts/ run end to end and write files that load."""
+"""The script under scripts/ runs end to end and writes files that load."""
 
 import csv
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -41,15 +40,3 @@ def test_generate_data_writes_loadable_partitions(tmp_path):
                 for u, s in zip(trials.utterance_ids, trials.speaker_ids)
             ]
 
-
-def test_reproduce_size_curve_writes_loadable_results(tmp_path):
-    run_script("reproduce_size_curve.py", "--sizes", 10, "--replicates", 1, "--out-dir", tmp_path)
-    with (tmp_path / "size_sweep.csv").open(encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    sidecar = json.loads((tmp_path / "size_sweep.json").read_text(encoding="utf-8"))
-    assert rows[0] == ["blacklist_size", "top_s_eer", "top_1_eer"]
-    assert [[int(k), float(s), float(o)] for k, s, o in rows[1:]] == [
-        [10, sidecar["mean"]["top_s_eer"][0], sidecar["mean"]["top_1_eer"][0]]
-    ]
-    assert sidecar["sizes"] == [10]
-    assert sidecar["replicate_count"] == 1

@@ -136,6 +136,11 @@ class TestGeneratePopulation:
             PopulationConfig(speaker_spread=0.0)
         with pytest.raises(ValueError, match="channel_spread"):
             PopulationConfig(channel_spread=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="speaker_spread"):
+                PopulationConfig(speaker_spread=bad)
+            with pytest.raises(ValueError, match="channel_spread"):
+                PopulationConfig(channel_spread=bad)
 
 
 class TestReplicateSeeds:
