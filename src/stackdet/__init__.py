@@ -25,7 +25,6 @@ from .data import (
     ValidationReport,
     concatenate,
     load_embeddings,
-    load_manifest,
     save_embeddings,
     save_manifest,
     save_scores,

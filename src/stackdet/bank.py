@@ -9,18 +9,20 @@ is the one place that knows the normalization modes: it resolves a mode to
 the statistics of its formula, or to None for no normalization, and every
 scorer applies ``(y - mu) / sigma`` whenever its statistics are not None.
 
-Every scorer runs over the same fixed trial blocks, one block at a time:
-the stack scores of ``eval`` and ``simulate``, the streamed score table,
-and the cohort statistics, which sum score rows block by block in numpy's
-row order.  ``score_all`` alone builds the dense trials x detectors matrix;
-with ``apply_mnorm``, ``mnorm_stats_from_scores`` and ``metrics.stack_reduce``
-it is the reference the blockwise paths are tested against.
+Every scorer runs over one loop, ``_score_spans``, one block at a time: it
+length-normalizes each fixed trial span and scores it, so no normalized copy
+of a whole set is made.  It feeds the stack scores of ``eval`` and
+``simulate``, the streamed score table, and the cohort statistics, which sum
+score rows block by block in numpy's row order.  ``score_all`` alone builds
+the dense trials x detectors matrix; with ``apply_mnorm``,
+``mnorm_stats_from_scores`` and ``metrics.stack_reduce`` it is the reference
+the blockwise paths are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -142,23 +144,26 @@ def enroll(pooled: EmbeddingSet) -> DetectorBank:
     return DetectorBank(tuple(groups), directions)
 
 
-def _probes(bank: DetectorBank, trials: EmbeddingSet) -> np.ndarray:
+def _score_spans(bank: DetectorBank, trials: EmbeddingSet) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(a, probes @ directions.T)`` for each fixed trial span ``a:a + _CHUNK``.
+
+    The dimension is checked on the call; a span's probes are its trials,
+    length-normalized when its block is asked for.  No trials give one empty
+    block.  The loop keeps no reference to a block it has yielded, so a caller
+    that drops its own before asking for the next holds one block at a time.
+    """
     if trials.dimension != bank.dimension:
         raise ValueError(
             f"dimension mismatch: trials {trials.dimension} vs bank {bank.dimension}"
         )
-    return _normalize_rows(trials.vectors, trials.utterance_ids)
 
+    def spans() -> Iterator[tuple[int, np.ndarray]]:
+        for a in range(0, max(len(trials), 1), _CHUNK):
+            rows = slice(a, a + _CHUNK)
+            probes = _normalize_rows(trials.vectors[rows], trials.utterance_ids[rows])
+            yield a, probes @ bank.directions.T
 
-def _score_spans(bank: DetectorBank, probes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(a, probes[a:a + _CHUNK] @ directions.T)`` for each fixed trial span.
-
-    No probes give one empty block.  The loop keeps no reference to a block
-    it has yielded, so a caller that drops its own before asking for the next
-    holds one block at a time.
-    """
-    for a in range(0, max(len(probes), 1), _CHUNK):
-        yield a, probes[a : a + _CHUNK] @ bank.directions.T
+    return spans()
 
 
 def score_all(bank: DetectorBank, trials: EmbeddingSet) -> ScoreMatrix:
@@ -168,27 +173,24 @@ def score_all(bank: DetectorBank, trials: EmbeddingSet) -> ScoreMatrix:
     ``score_blocks``, so all three give the same bytes on any BLAS.
     """
     out = np.empty((len(trials), len(bank)))
-    for a, block in _score_spans(bank, _probes(bank, trials)):
+    for a, block in _score_spans(bank, trials):
         out[a : a + len(block)] = block
         del block
     return ScoreMatrix(trials.utterance_ids, bank.speaker_ids, out)
 
 
 def _corner_stats(
-    spans: Callable[[], Iterator[tuple[int, np.ndarray]]],
-    corners: Sequence[tuple[int, int]],
-    detector_ids: Sequence[str],
+    bank: DetectorBank, cohort: EmbeddingSet, corners: Sequence[tuple[int, int]]
 ) -> list[MNormStats]:
-    """M-Norm stats of each leading corner ``scores[:n, :k]`` of a cohort score matrix.
+    """M-Norm stats of each leading corner ``scores[:n, :k]`` of the cohort x bank scores.
 
-    ``spans()`` yields the matrix as ``(row offset, block)`` in row order and
-    is called twice: pass 1 sums rows for mu, pass 2 sums ``(row - mu) ** 2``
-    for sigma.  Both add one row at a time in row order, which is how numpy
-    sums axis 0 of two or more columns, so the bytes equal the dense
-    ``scores.mean(axis=0)`` and ``np.sqrt(np.mean((scores - mu) ** 2, axis=0))``.
-    numpy sums a single column pairwise instead, so one-column corners keep
-    their n floats and reduce them with those two lines.  Only one block is
-    held at a time, and no rows past the largest n are scored.
+    The cohort is scored span by span, twice: pass 1 sums rows for mu, pass 2
+    sums ``(row - mu) ** 2`` for sigma.  Both add one row at a time in row
+    order, which is how numpy sums axis 0 of two or more columns, so the bytes
+    equal ``mnorm_stats_from_scores`` of the dense matrix.  numpy sums a single
+    column pairwise instead, so one-column corners keep their n floats and
+    reduce them with the dense lines.  Only one block is held at a time, and
+    no rows past the largest n are scored.
     """
     if min(n for n, _ in corners) < 1:
         raise ValueError("empty cohort")
@@ -201,7 +203,7 @@ def _corner_stats(
     column = np.empty((n_max, 1))
     mus: dict[int, np.ndarray] = {}
     j = 0
-    for _, block in spans():
+    for _, block in _score_spans(bank, cohort):
         for row in block[: n_max - j, :k_max]:
             total += row
             column[j] = row[0]
@@ -216,7 +218,7 @@ def _corner_stats(
     wide = {c: np.zeros(k) for c, (_, k) in enumerate(corners) if k > 1}
     n_wide = max((corners[c][0] for c in wide), default=0)
     j = 0
-    for _, block in spans() if wide else ():
+    for _, block in _score_spans(bank, cohort) if wide else ():
         for row in block[: n_wide - j]:
             for c, squares in wide.items():
                 n, k = corners[c]
@@ -233,32 +235,29 @@ def _corner_stats(
             sigma = np.sqrt(np.mean((column[:n] - mus[c]) ** 2, axis=0))
         else:
             sigma = np.sqrt(wide[c] / n)
-        low = np.flatnonzero(sigma < SIGMA_FLOOR)
-        if low.size:
-            raise ValueError(
-                f"degenerate cohort: detector {detector_ids[low[0]]!r}"
-                f" has no score spread ({low.size} detector(s) affected)"
-            )
-        stats.append(MNormStats(mus[c], sigma, n))
+        stats.append(_spread_stats(mus[c], sigma, n, bank.speaker_ids))
     return stats
 
 
-def _cohort_stats(
-    bank: DetectorBank, cohort: EmbeddingSet, corners: Sequence[tuple[int, int]]
-) -> list[MNormStats]:
-    """``_corner_stats`` of the cohort scored against the whole bank, block by block."""
-    probes = _probes(bank, cohort)
-    return _corner_stats(lambda: _score_spans(bank, probes), corners, bank.speaker_ids)
+def _spread_stats(mu: np.ndarray, sigma: np.ndarray, n: int, ids: Sequence[str]) -> MNormStats:
+    """``MNormStats(mu, sigma, n)``, naming the first detector whose scores do not spread."""
+    low = np.flatnonzero(sigma < SIGMA_FLOOR)
+    if low.size:
+        raise ValueError(
+            f"degenerate cohort: detector {ids[low[0]]!r}"
+            f" has no score spread ({low.size} detector(s) affected)"
+        )
+    return MNormStats(mu, sigma, n)
 
 
 def mnorm_stats_from_scores(matrix: ScoreMatrix) -> MNormStats:
-    """Mean and population std of each detector's scores over a cohort matrix."""
-    (stats,) = _corner_stats(
-        lambda: iter([(0, matrix.scores)]),
-        [(matrix.n_trials, matrix.n_detectors)],
-        matrix.detector_ids,
-    )
-    return stats
+    """Mean and population std of each detector's scores: the dense reference."""
+    scores = matrix.scores
+    if len(scores) == 0:
+        raise ValueError("empty cohort")
+    mu = scores.mean(axis=0)
+    sigma = np.sqrt(np.mean((scores - mu) ** 2, axis=0))
+    return _spread_stats(mu, sigma, len(scores), matrix.detector_ids)
 
 
 def compute_mnorm_stats(bank: DetectorBank, cohort: EmbeddingSet) -> MNormStats:
@@ -276,7 +275,7 @@ def compute_mnorm_stats(bank: DetectorBank, cohort: EmbeddingSet) -> MNormStats:
             raise ValueError(
                 f"cohort utterance {utt!r} belongs to {spk!r}, not an enrolled speaker"
             )
-    (stats,) = _cohort_stats(bank, cohort, [(len(cohort), len(bank))])
+    (stats,) = _corner_stats(bank, cohort, [(len(cohort), len(bank))])
     return stats
 
 
@@ -328,10 +327,9 @@ def stack_scores(
         raise ValueError(f"{len(stats)} sets of normalization statistics for {len(sizes)} sizes")
     for k, st in zip(sizes, stats):
         _check_mnorm(st, k)
-    probes = _probes(bank, trials)
     y_star = np.empty((len(sizes), len(trials)))
     h_star = np.empty((len(sizes), len(trials)), dtype=np.int64)
-    for a, block in _score_spans(bank, probes):
+    for a, block in _score_spans(bank, trials):
         b = a + len(block)
         for i, (k, st) in enumerate(zip(sizes, stats)):
             scores = block[:, :k]
@@ -361,10 +359,10 @@ def score_blocks(
     trials give one empty block.  A block with a non-finite score raises.
     """
     _check_mnorm(stats, len(bank))
-    probes = _probes(bank, trials)
+    spans = _score_spans(bank, trials)
 
     def blocks() -> Iterator[ScoreMatrix]:
-        for a, block in _score_spans(bank, probes):
+        for a, block in spans:
             if stats is not None:
                 _mnorm(block, stats, out=block)
             yield ScoreMatrix(trials.utterance_ids[a : a + _CHUNK], bank.speaker_ids, block)

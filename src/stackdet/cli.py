@@ -31,6 +31,9 @@ from . import data, metrics, synth
 SCHEMA_VERSION = 1
 BANK_FILE = "bank.csv"
 MNORM_FILE = "mnorm.json"
+REPORT_FILE = "report.json"
+DET_FILES = ("det_top_s.csv", "det_top_1.csv")
+SWEEP_FILES = ("size_sweep.csv", "size_sweep.json")
 DEFAULT_DET_POINTS = 512
 
 
@@ -49,12 +52,15 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _check_out_dir(path) -> None:
-    """Fail before any work when ``--out-dir`` cannot become a directory."""
+def _check_out_dir(path, names) -> None:
+    """Fail before any work when ``--out-dir`` cannot become a directory holding ``names``."""
     path = Path(path)
     base = next(p for p in (path, *path.parents) if p.exists())
     if not base.is_dir():
         raise ValueError(f"--out-dir {path}: {base} is not a directory")
+    for name in names:
+        if (path / name).is_dir():
+            raise ValueError(f"--out-dir {path}: {path / name} is a directory")
 
 
 def _check_out_file(path) -> None:
@@ -190,7 +196,7 @@ def _mnorm_for(stats: bank_mod.MNormStats | None, norm_mode: str) -> bank_mod.MN
 
 
 def cmd_enroll(args) -> int:
-    _check_out_dir(args.out_dir)
+    _check_out_dir(args.out_dir, (BANK_FILE, MNORM_FILE))
     pooled = data.load_embeddings(args.train)
     if args.augment:
         pooled = data.concatenate([pooled, data.load_embeddings(args.augment)])
@@ -215,7 +221,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     if args.det_points < 2:
         raise ValueError(f"--det-points must be at least 2, got {args.det_points}")
-    _check_out_dir(args.out_dir)
+    _check_out_dir(args.out_dir, (REPORT_FILE, *DET_FILES))
     b, stats = load_bank(args.bank)
     stats = _mnorm_for(stats, args.norm_mode)
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
@@ -245,10 +251,10 @@ def cmd_eval(args) -> int:
         "timing": None,
     }
     with data.output_group():
-        with data.open_output(out_dir / "report.json") as f:
+        with data.open_output(out_dir / REPORT_FILE) as f:
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
-        for rep, name in ((top_s, "det_top_s.csv"), (top_1, "det_top_1.csv")):
+        for rep, name in zip((top_s, top_1), DET_FILES):
             metrics.save_det_points(
                 metrics.det_points(rep, args.det_points), out_dir / name
             )
@@ -262,7 +268,7 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     sizes = _parse_sizes(args.sizes)
-    _check_out_dir(args.out_dir)
+    _check_out_dir(args.out_dir, SWEEP_FILES)
     config = synth.PopulationConfig(
         dimension=args.dimension,
         speaker_spread=args.speaker_spread,
@@ -283,8 +289,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     synth.save_size_sweep(
         result,
-        out_dir / "size_sweep.csv",
-        out_dir / "size_sweep.json",
+        *(out_dir / name for name in SWEEP_FILES),
         config={
             "subcommand": "simulate",
             **asdict(config),

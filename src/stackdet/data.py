@@ -6,7 +6,7 @@ On-disk formats (all UTF-8, LF line endings):
   in the speaker column marking an unlabeled utterance,
 * score CSV, written and never read: header row naming the columns
   (``utterance_id`` followed by the detector speaker ids), then one row per trial,
-* manifest: ``key=value`` lines, one per manifest field.
+* manifest, written and never read: ``key=value`` lines, one per manifest field.
 
 Floats are written with shortest round-trip repr and parsed as binary64, so
 a save followed by a load reproduces every value bit-exactly.  The one row
@@ -25,6 +25,7 @@ handles the embedding files numpy declines calls ``float()`` itself.
 from __future__ import annotations
 
 import csv
+import errno
 import itertools
 import math
 import os
@@ -226,7 +227,7 @@ def open_output(path):
         with f:
             yield f
         if _staged is None:
-            os.replace(tmp, path)
+            _replace_all([(tmp, path)])
         else:
             _staged.append((tmp, path))
     except BaseException:
@@ -234,20 +235,29 @@ def open_output(path):
         raise
 
 
+def _replace_all(staged: list[tuple[Path, Path]]) -> None:
+    """Move each temp file onto its target; none moves if any target is a directory."""
+    for _, path in staged:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for tmp, path in staged:
+        os.replace(tmp, path)
+
+
 @contextmanager
 def output_group():
     """Make the files written by ``open_output`` in the block appear together or not at all.
 
     Every file is written to its temp file first; the targets are replaced
-    only once the whole block has exited cleanly.  If the block raises, all
-    temp files are removed and every target keeps its old contents.
+    only once the whole block has exited cleanly.  If the block raises, or a
+    target is a directory, all temp files are removed and every target keeps
+    its old contents.
     """
     global _staged
     _staged = staged = []
     try:
         yield
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        _replace_all(staged)
     finally:
         _staged = None
         for tmp, _ in staged:
@@ -437,8 +447,8 @@ class ScoreMatrix:
         return f"ScoreMatrix(trials={self.n_trials}, detectors={self.n_detectors})"
 
 
-def save_scores(matrix: ScoreMatrix | Iterable[ScoreMatrix], path) -> None:
-    """Write a score CSV from one matrix or from the consecutive trial blocks of one.
+def save_scores(blocks: Iterable[ScoreMatrix], path) -> None:
+    """Write a score CSV from the consecutive trial blocks of one score table.
 
     Blocks are written as they arrive, so a generator of blocks never needs
     the whole table in memory; every block names the same detectors.  Values
@@ -446,7 +456,7 @@ def save_scores(matrix: ScoreMatrix | Iterable[ScoreMatrix], path) -> None:
     """
     with open_output(path) as f:
         detector_ids = None
-        for block in [matrix] if isinstance(matrix, ScoreMatrix) else matrix:
+        for block in blocks:
             if detector_ids is None:
                 detector_ids = block.detector_ids
                 f.write(_csv_line(["utterance_id", *detector_ids])[:-2] + "\n")
@@ -490,33 +500,6 @@ def save_manifest(manifest: PartitionManifest, path) -> None:
     with open_output(path) as f:
         for key, value in zip(_MANIFEST_KEYS, values):
             f.write(f"{key}={value}\n")
-
-
-def load_manifest(path) -> PartitionManifest:
-    path = Path(path)
-    fields: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DataFormatError(f"{path}: line {lineno}: expected key=value")
-            if key in fields:
-                raise DataFormatError(f"{path}: line {lineno}: duplicate key {key!r}")
-            fields[key] = value
-    missing = [k for k in _MANIFEST_KEYS if k not in fields]
-    if missing:
-        raise DataFormatError(f"{path}: missing manifest keys {missing}")
-    unknown = [k for k in fields if k not in _MANIFEST_KEYS]
-    if unknown:
-        raise DataFormatError(f"{path}: unknown manifest keys {unknown}")
-    try:
-        counts = [int(fields[k]) for k in _MANIFEST_KEYS[1:]]
-    except ValueError:
-        raise DataFormatError(f"{path}: manifest counts must be integers") from None
-    return PartitionManifest(fields["partition"], *counts)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data
-from .bank import NORM_MODES, _cohort_stats, enroll, stack_scores
+from .bank import NORM_MODES, _corner_stats, enroll, stack_scores
 from .data import EmbeddingSet, PartitionManifest
 from .metrics import sweep_both
 
@@ -228,7 +228,7 @@ def run_size_sweep(
             # train is blacklist-only and speaker-major: size k's cohort is its first k*u rows
             u = train_utts_per_speaker
             corners = [(k * u, k) for k in sizes]
-            stats = [st.for_mode(norm_mode) for st in _cohort_stats(full_bank, pop.train, corners)]
+            stats = [st.for_mode(norm_mode) for st in _corner_stats(full_bank, pop.train, corners)]
         y_star, h_star = stack_scores(full_bank, pop.test, sizes, stats)
         del pop  # free this population before the next one is drawn
         for ki, k in enumerate(sizes):

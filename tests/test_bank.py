@@ -400,9 +400,9 @@ class TestCohortStats:
         expect = [dense_stats(np.ascontiguousarray(dense[:n, :k])) for n, k in corners]
         if any((sigma < bank_mod.SIGMA_FLOOR).any() for _, sigma in expect):
             with pytest.raises(ValueError, match="degenerate cohort"):
-                bank_mod._cohort_stats(bank, cohort, corners)
+                bank_mod._corner_stats(bank, cohort, corners)
             return
-        got = bank_mod._cohort_stats(bank, cohort, corners)
+        got = bank_mod._corner_stats(bank, cohort, corners)
         for stats, (n, k) in zip(got, corners):
             assert_dense_bits(stats, np.ascontiguousarray(dense[:n, :k]))
 
@@ -575,6 +575,29 @@ class TestInPlaceMNorm:
         assert all(out.flags.c_contiguous for out in outs)
         monkeypatch.setattr(bank_mod, "_mnorm", real)
         assert_kernel_matches_dense(11, 3, 2, 6, 5, sizes, "full")
+
+
+class TestSpanMemory:
+    """Each span normalizes its own trials: no normalized copy of the whole set."""
+
+    @pytest.mark.parametrize("scorer", ["stack_scores", "score_blocks"])
+    def test_peak_stays_below_the_trial_vectors(self, scorer):
+        rng = np.random.default_rng(17)
+        n = 3 * _CHUNK + 1
+        trials = EmbeddingSet([f"t{i}" for i in range(n)], [None] * n, rng.standard_normal((n, 600)))
+        speakers = [f"d{i}" for i in range(8)]
+        bank = enroll(EmbeddingSet(speakers, speakers, rng.standard_normal((8, 600))))
+        tracemalloc.start()
+        try:
+            if scorer == "stack_scores":
+                stack_scores(bank, trials, [len(bank)])
+            else:
+                for block in score_blocks(bank, trials):
+                    del block
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < trials.vectors.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestScoreBlocks:

@@ -156,7 +156,7 @@ class TestScore:
         expected = apply_mnorm(
             score_all(b, pop.test), compute_mnorm_stats(b, train_bl), "full"
         )
-        save_scores(expected, tmp_path / "expected.csv")
+        save_scores([expected], tmp_path / "expected.csv")
         assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_norm_mode_changes_scores(self, workspace, bank_dir, tmp_path):
@@ -172,9 +172,9 @@ class TestScore:
         assert cli.main(args + ["--out", str(tmp_path / "full.csv"), "--norm-mode", "full"]) == 0
         b = enroll(train_bl)
         raw = score_all(b, pop.test)
-        save_scores(raw, tmp_path / "raw_expected.csv")
+        save_scores([raw], tmp_path / "raw_expected.csv")
         full = apply_mnorm(raw, compute_mnorm_stats(b, train_bl))
-        save_scores(full, tmp_path / "full_expected.csv")
+        save_scores([full], tmp_path / "full_expected.csv")
         for name in ("raw", "full"):
             got = (tmp_path / f"{name}.csv").read_bytes()
             assert got == (tmp_path / f"{name}_expected.csv").read_bytes()
@@ -214,20 +214,33 @@ class TestStreamedScore:
         # d2's scores overflow unless they are exactly 0
         stats = bank_mod.MNormStats(np.zeros(2), np.array([1.0, 5e-324]), 3)
         cli.save_bank(b, stats, tmp_path / "bank")
-        # the first block is orthogonal to d2; the second is not
-        trials = EmbeddingSet(["t1", "t2", "t3"], [None] * 3, [[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
-        save_embeddings(trials, tmp_path / "trials.csv")
+        written = []
+        real_write_rows = data._write_rows
+
+        def spy(f, ids, values):
+            written.extend(ids[0])
+            real_write_rows(f, ids, values)
+
+        monkeypatch.setattr(data, "_write_rows", spy)
         out = tmp_path / "scores.csv"
-        out.write_bytes(b"old scores\n")
-        before = sorted(p.name for p in tmp_path.iterdir())
         argv = ["score", "--bank", str(tmp_path / "bank"), "--trials", str(tmp_path / "trials.csv")]
-        with np.errstate(over="ignore"):
-            rc = cli.main(argv + ["--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == "error: scores contain non-finite values\n"
-        assert out.read_bytes() == b"old scores\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        # the first block is orthogonal to d2; the second is not, or is a zero vector
+        for last_row, message in [
+            ([1.0, 1.0], "scores contain non-finite values"),
+            ([0.0, 0.0], "zero vector for utterance 't3'"),
+        ]:
+            trials = EmbeddingSet(["t1", "t2", "t3"], [None] * 3, [[1.0, 0.0], [2.0, 0.0], last_row])
+            save_embeddings(trials, tmp_path / "trials.csv")
+            out.write_bytes(b"old scores\n")
+            before = sorted(p.name for p in tmp_path.iterdir())
+            written.clear()
+            with np.errstate(over="ignore"):
+                rc = cli.main(argv + ["--out", str(out)])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert written == ["t1", "t2"]  # the bad row is met in its own span, after the first
+            assert out.read_bytes() == b"old scores\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestOverflowingNorm:
@@ -683,6 +696,40 @@ class TestOutputLocationsCheckedFirst:
         assert capsys.readouterr().err == f"error: {message.format(t=tmp_path)}\n"
         assert read_all_bytes(tmp_path) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+    # each file name of enroll, eval and simulate -> its command
+    OUTPUT_FILES = {
+        "bank.csv": "enroll",
+        "mnorm.json": "enroll",
+        "report.json": "eval",
+        "det_top_s.csv": "eval",
+        "det_top_1.csv": "eval",
+        "size_sweep.csv": "simulate",
+        "size_sweep.json": "simulate",
+    }
+
+    @pytest.mark.parametrize("name", OUTPUT_FILES)
+    def test_output_name_that_is_a_directory_fails_before_loading(
+        self, workspace, bank_dir, tmp_path, monkeypatch, capsys, name
+    ):
+        command = self.OUTPUT_FILES[name]
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        for other in self.OUTPUT_FILES:
+            if self.OUTPUT_FILES[other] == command and other != name:
+                (out / other).write_text("old\n", encoding="utf-8")
+        before = read_all_bytes(out)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output location was checked")
+
+        monkeypatch.setattr(data, "load_embeddings", no_work)
+        monkeypatch.setattr(synth, "generate_population", no_work)
+        assert cli.main(self.argv(workspace, bank_dir, command, str(out))) == 1
+        assert capsys.readouterr().err == f"error: --out-dir {out}: {out / name} is a directory\n"
+        assert read_all_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, *before])
+        assert list((out / name).iterdir()) == []
 
     def test_missing_directories_are_still_created(self, workspace, tmp_path):
         root, _, _ = workspace

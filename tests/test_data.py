@@ -16,7 +16,6 @@ from stackdet.data import (
     ScoreMatrix,
     concatenate,
     load_embeddings,
-    load_manifest,
     save_embeddings,
     save_manifest,
     save_scores,
@@ -266,7 +265,7 @@ class TestEmbeddingRoundTrip:
 class TestScoreMatrix:
     def test_single_cell_file_content(self, tmp_path):
         m = ScoreMatrix(["utt1"], ["det_1"], [[0.5]])
-        save_scores(m, tmp_path / "s.csv")
+        save_scores([m], tmp_path / "s.csv")
         text = (tmp_path / "s.csv").read_text(encoding="utf-8")
         assert text == "utterance_id,det_1\nutt1,0.5\n"
 
@@ -277,7 +276,7 @@ class TestScoreMatrix:
             [f"d{j}" for j in range(4)],
             rng.standard_normal((10, 4)),
         )
-        save_scores(m, tmp_path / "s.csv")
+        save_scores([m], tmp_path / "s.csv")
         with open(tmp_path / "s.csv", encoding="utf-8", newline="") as f:
             header, *rows = csv.reader(f)
         back = ScoreMatrix([r[0] for r in rows], header[1:], [[float(v) for v in r[1:]] for r in rows])
@@ -305,7 +304,7 @@ class TestScoreMatrix:
             ScoreMatrix(m.trial_ids[a:b], m.detector_ids, m.scores[a:b])
             for a, b in ((0, 2), (2, 3), (3, 3))
         )
-        save_scores(m, tmp_path / "whole.csv")
+        save_scores([m], tmp_path / "whole.csv")
         save_scores(blocks, tmp_path / "blocks.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -374,7 +373,7 @@ class TestRowWriter:
         scores = ScoreMatrix(utts, dets, vecs)
         tmp = tmp_path_factory.mktemp("rows")
         save_embeddings(es, tmp / "e.csv")
-        save_scores(scores, tmp / "s.csv")
+        save_scores([scores], tmp / "s.csv")
 
         values = [[repr(float(x)) for x in row] for row in vecs]
         labels = [data.UNLABELED if s is None else s for s in spks]
@@ -408,15 +407,12 @@ class TestRowWriter:
 
 
 class TestManifest:
-    def test_roundtrip(self, tmp_path):
-        m = PartitionManifest("train", 3631, 5000, 3, 41845)
-        save_manifest(m, tmp_path / "m.txt")
-        assert load_manifest(tmp_path / "m.txt") == m
-
-    def test_missing_key(self, tmp_path):
-        p = write(tmp_path / "m.txt", "partition=train\n")
-        with pytest.raises(DataFormatError, match="missing"):
-            load_manifest(p)
+    def test_written_lines(self, tmp_path):
+        save_manifest(PartitionManifest("train", 3631, 5000, 3, 41845), tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_bytes() == (
+            b"partition=train\nblacklist_speakers=3631\nbackground_speakers=5000\n"
+            b"min_blacklist_utterances=3\ntotal_utterances=41845\n"
+        )
 
     def test_bad_partition_name(self):
         with pytest.raises(ValueError, match="partition_name"):
@@ -601,6 +597,19 @@ class TestOutputGroup:
         assert a.read_text(encoding="utf-8") == "old a"
         self.write(b, "alone")  # outside a group each file is replaced at once
         assert b.read_text(encoding="utf-8") == "alone"
+
+    def test_a_directory_target_moves_nothing(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b"
+        a.write_text("old a", encoding="utf-8")
+        b.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            with data.output_group():
+                self.write(a, "new a")
+                self.write(b, "new b")
+        assert str(info.value) == f"[Errno 21] Is a directory: '{b}'"
+        assert a.read_text(encoding="utf-8") == "old a"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b"]
+        assert list(b.iterdir()) == []
 
     def test_open_error_names_the_target(self, tmp_path):
         target = tmp_path / "nodir" / "x.csv"
