@@ -32,7 +32,6 @@ from .data import (
 )
 from .metrics import (
     DetectorReport,
-    OperatingPoint,
     det_points,
     save_det_points,
     stack_reduce,

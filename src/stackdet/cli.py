@@ -28,10 +28,11 @@ import numpy as np
 from . import bank as bank_mod
 from . import data, metrics, synth
 
-SCHEMA_VERSION = 1
 BANK_FILE = "bank.csv"
 MNORM_FILE = "mnorm.json"
+MNORM_SCHEMA_VERSION = 1
 REPORT_FILE = "report.json"
+REPORT_SCHEMA_VERSION = 1
 DET_FILES = ("det_top_s.csv", "det_top_1.csv")
 SWEEP_FILES = ("size_sweep.csv", "size_sweep.json")
 DEFAULT_DET_POINTS = 512
@@ -78,17 +79,15 @@ def save_bank(b: bank_mod.DetectorBank, stats: bank_mod.MNormStats, out_dir: Pat
     out_dir.mkdir(parents=True, exist_ok=True)
     as_set = data.EmbeddingSet(b.speaker_ids, b.speaker_ids, b.directions)
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": MNORM_SCHEMA_VERSION,
         "cohort_size": stats.cohort_size,
         "detector_ids": list(b.speaker_ids),
-        "mu": [float(v) for v in stats.mu],
-        "sigma": [float(v) for v in stats.sigma],
+        "mu": stats.mu.tolist(),
+        "sigma": stats.sigma.tolist(),
     }
     with data.output_group():
         data.save_embeddings(as_set, out_dir / BANK_FILE)
-        with data.open_output(out_dir / MNORM_FILE) as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        data.save_json(payload, out_dir / MNORM_FILE)
 
 
 def _json_is(value, kind) -> bool:
@@ -124,7 +123,7 @@ def _load_mnorm(b: bank_mod.DetectorBank, path: Path) -> bank_mod.MNormStats:
             raise data.DataFormatError(f"{path}: missing key {key!r}")
         if not _json_is(payload[key], kind):
             raise data.DataFormatError(f"{path}: key {key!r} must be {expected}")
-    if payload["schema_version"] != SCHEMA_VERSION:
+    if payload["schema_version"] != MNORM_SCHEMA_VERSION:
         raise data.DataFormatError(f"{path}: unsupported schema_version {payload['schema_version']}")
     if tuple(payload["detector_ids"]) != b.speaker_ids:
         raise data.DataFormatError(f"{path}: detector ids do not match {BANK_FILE}")
@@ -236,7 +235,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         # --threads is ignored, so it is not echoed
         "config": {
             "subcommand": "eval",
@@ -251,13 +250,9 @@ def cmd_eval(args) -> int:
         "timing": None,
     }
     with data.output_group():
-        with data.open_output(out_dir / REPORT_FILE) as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        data.save_json(report, out_dir / REPORT_FILE)
         for rep, name in zip((top_s, top_1), DET_FILES):
-            metrics.save_det_points(
-                metrics.det_points(rep, args.det_points), out_dir / name
-            )
+            metrics.save_det_points(metrics.det_points(rep, args.det_points), out_dir / name)
     print(f"top_s_eer={top_s.eer!r} top_1_eer={top_1.eer!r}")
     print(
         f"timing: eval took {time.perf_counter() - started:.3f}s", file=sys.stderr
@@ -391,6 +386,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

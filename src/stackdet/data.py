@@ -1,11 +1,16 @@
 """Embedding sets, score matrices, partition manifests, and their file formats.
 
-On-disk formats (all UTF-8, LF line endings):
+Every file the package writes is written here.  On-disk formats (all UTF-8,
+LF line endings):
 
 * embedding CSV, headerless: ``utterance_id,speaker_id,v1,...,vD`` with ``-``
   in the speaker column marking an unlabeled utterance,
 * score CSV, written and never read: header row naming the columns
   (``utterance_id`` followed by the detector speaker ids), then one row per trial,
+* float table (``save_table``; the DET curves and ``size_sweep.csv``): a
+  header row, then per row its id columns, if any, and its floats,
+* JSON (``save_json``; ``mnorm.json``, ``report.json``, ``size_sweep.json``):
+  indent 2, sorted keys, a final LF,
 * manifest, written and never read: ``key=value`` lines, one per manifest field.
 
 Floats are written with shortest round-trip repr and parsed as binary64, so
@@ -27,10 +32,11 @@ from __future__ import annotations
 import csv
 import errno
 import itertools
+import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -40,6 +46,7 @@ import numpy as np
 UNLABELED = "-"
 PARTITION_NAMES = ("train", "dev", "test")
 
+# in PartitionManifest field order
 _MANIFEST_KEYS = (
     "partition",
     "blacklist_speakers",
@@ -277,12 +284,29 @@ _csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writer
 
 
 def _write_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
-    """Write one CSV line per row of ``values``: the id columns, then the floats."""
+    """Write one CSV line per row of ``values``: the id columns, if any, then the floats."""
     for a in range(0, len(values), _ROW_GROUP):
         b = a + _ROW_GROUP
-        heads = [_csv_line((*row_ids, ""))[:-2] for row_ids in zip(*(c[a:b] for c in ids))]
         rows = values[a:b].tolist()
+        cols = [c[a:b] for c in ids]
+        # without id columns a row has no head: csv would quote a lone empty field
+        heads = [_csv_line((*i, ""))[:-2] for i in zip(*cols)] if cols else [""] * len(rows)
         f.write("".join([h + ",".join(map(float.__repr__, r)) + "\n" for h, r in zip(heads, rows)]))
+
+
+def save_table(path, header: Sequence[str] | None, ids: Sequence[Sequence[str]], values) -> None:
+    """Write a CSV table: the ``header`` line unless it is None, then one row per row of ``values``."""
+    with open_output(path) as f:
+        if header is not None:
+            f.write(_csv_line(header)[:-2] + "\n")
+        _write_rows(f, ids, np.asarray(values, dtype=np.float64))
+
+
+def save_json(payload, path) -> None:
+    """Write ``payload`` as JSON: indent 2, sorted keys, a final LF."""
+    with open_output(path) as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def load_embeddings(path, expected_dimension: int | None = None) -> EmbeddingSet:
@@ -409,8 +433,7 @@ def _load_rows(path: Path, expected_dimension: int | None) -> EmbeddingSet:
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     spks = [UNLABELED if spk is None else spk for spk in embeddings.speaker_ids]
-    with open_output(path) as f:
-        _write_rows(f, (embeddings.utterance_ids, spks), embeddings.vectors)
+    save_table(path, None, (embeddings.utterance_ids, spks), embeddings.vectors)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -490,15 +513,8 @@ class PartitionManifest:
 
 
 def save_manifest(manifest: PartitionManifest, path) -> None:
-    values = (
-        manifest.partition_name,
-        manifest.blacklist_speaker_count,
-        manifest.background_speaker_count,
-        manifest.min_utterances_per_blacklist_speaker,
-        manifest.total_utterances,
-    )
     with open_output(path) as f:
-        for key, value in zip(_MANIFEST_KEYS, values):
+        for key, value in zip(_MANIFEST_KEYS, astuple(manifest)):
             f.write(f"{key}={value}\n")
 
 

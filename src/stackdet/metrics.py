@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,13 +27,6 @@ from .data import ScoreMatrix
 
 TOP_S = "top_s"
 TOP_1 = "top_1"
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    theta: float
-    p_miss: float
-    p_fa: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +55,8 @@ class DetectorReport:
         return {
             "mode": self.mode,
             "operating_points": [
-                {"theta": enc(t), "p_miss": float(m), "p_fa": float(f)}
-                for t, m, f in zip(self.thetas, self.p_miss, self.p_fa)
+                {"theta": enc(t), "p_miss": m, "p_fa": f}
+                for t, m, f in zip(self.thetas, self.p_miss.tolist(), self.p_fa.tolist())
             ],
             "eer": enc(self.eer),
             "eer_threshold": enc(self.eer_threshold),
@@ -171,8 +163,8 @@ def sweep_both(
     return reports[0], reports[1]
 
 
-def det_points(report: DetectorReport, max_points: int) -> list[OperatingPoint]:
-    """Down-sample a sweep to at most max_points operating points.
+def det_points(report: DetectorReport, max_points: int) -> np.ndarray:
+    """Down-sample a sweep to at most max_points ``theta, p_fa, p_miss`` rows, an (m, 3) array.
 
     Points are chosen at even steps of the combined rate variation, so the
     staircase is sampled densely where it moves.  Endpoints are always kept;
@@ -196,17 +188,9 @@ def det_points(report: DetectorReport, max_points: int) -> list[OperatingPoint]:
                 break
             chosen.add(int(min(j, n - 1)))
         idx = sorted(chosen)
-    return [
-        OperatingPoint(
-            float(report.thetas[i]), float(report.p_miss[i]), float(report.p_fa[i])
-        )
-        for i in idx
-    ]
+    return np.column_stack((report.thetas[idx], report.p_fa[idx], report.p_miss[idx]))
 
 
-def save_det_points(points: Sequence[OperatingPoint], path) -> None:
-    """Write DET curve samples as CSV rows ``theta,p_fa,p_miss``."""
-    with data.open_output(path) as f:
-        f.write("theta,p_fa,p_miss\n")
-        for p in points:
-            f.write(f"{p.theta!r},{p.p_fa!r},{p.p_miss!r}\n")
+def save_det_points(points: np.ndarray, path) -> None:
+    """Write the ``det_points`` rows as a CSV table ``theta,p_fa,p_miss``."""
+    data.save_table(path, ("theta", "p_fa", "p_miss"), (), points)

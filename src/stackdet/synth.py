@@ -13,7 +13,6 @@ speaker by speaker, and the background utterances speaker by speaker.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -248,30 +247,30 @@ def run_size_sweep(
     )
 
 
+SIZE_SWEEP_SCHEMA_VERSION = 1
+
+
 def save_size_sweep(
     result: SizeSweepResult, csv_path, json_path, config: dict | None = None
 ) -> None:
     """Write the per-size means as CSV plus a JSON sidecar with full detail."""
     sidecar = {
-        "schema_version": 1,
+        "schema_version": SIZE_SWEEP_SCHEMA_VERSION,
         "config": config or {},
         "sizes": list(result.sizes),
         "replicate_count": result.replicate_count,
         "replicate_seeds": list(result.replicate_seeds),
         "mean": {
-            "top_s_eer": [float(v) for v in result.top_s_eer],
-            "top_1_eer": [float(v) for v in result.top_1_eer],
+            "top_s_eer": result.top_s_eer.tolist(),
+            "top_1_eer": result.top_1_eer.tolist(),
         },
         "replicates": {
-            "top_s_eer": [[float(v) for v in row] for row in result.replicate_top_s],
-            "top_1_eer": [[float(v) for v in row] for row in result.replicate_top_1],
+            "top_s_eer": result.replicate_top_s.tolist(),
+            "top_1_eer": result.replicate_top_1.tolist(),
         },
     }
     with data.output_group():
-        with data.open_output(csv_path) as f:
-            f.write("blacklist_size,top_s_eer,top_1_eer\n")
-            for k, s, o in zip(result.sizes, result.top_s_eer, result.top_1_eer):
-                f.write(f"{k},{float(s)!r},{float(o)!r}\n")
-        with data.open_output(json_path) as f:
-            json.dump(sidecar, f, indent=2, sort_keys=True)
-            f.write("\n")
+        header = ("blacklist_size", "top_s_eer", "top_1_eer")
+        means = np.column_stack((result.top_s_eer, result.top_1_eer))
+        data.save_table(csv_path, header, ([str(k) for k in result.sizes],), means)
+        data.save_json(sidecar, json_path)

@@ -485,6 +485,47 @@ class TestMalformedBank:
         assert not out.exists()
 
 
+class TestBankWithoutMnorm:
+    @pytest.fixture
+    def bare_bank(self, bank_dir, tmp_path):
+        """Copy of the enrolled bank without its mnorm.json."""
+        out = tmp_path / "bank"
+        out.mkdir()
+        (out / "bank.csv").write_bytes((bank_dir / "bank.csv").read_bytes())
+        return out
+
+    def argv(self, workspace, bank, command, trials, out):
+        root, _, _ = workspace
+        if command == "score":
+            return ["score", "--bank", str(bank), "--trials", str(trials), "--out", str(out)]
+        return [
+            "eval", "--bank", str(bank), "--trials", str(trials),
+            "--labels", str(root / "test_labels.csv"), "--out-dir", str(out),
+        ]
+
+    @pytest.mark.parametrize("mode", ["full", "shift", "scale"])
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_normalizing_mode_fails_before_reading_trials(
+        self, workspace, bare_bank, tmp_path, capsys, command, mode
+    ):
+        # the trials path does not exist, so the error comes before any input is read
+        out = tmp_path / "out"
+        argv = self.argv(workspace, bare_bank, command, tmp_path / "missing.csv", out)
+        assert cli.main([*argv, "--norm-mode", mode]) == 1
+        assert capsys.readouterr().err == (
+            f"error: normalization mode {mode!r} needs mnorm.json in the bank directory\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_mode_none_needs_no_stats(self, workspace, bare_bank, tmp_path, command):
+        root, _, _ = workspace
+        out = tmp_path / "out"
+        argv = self.argv(workspace, bare_bank, command, root / "test_trials.csv", out)
+        assert cli.main([*argv, "--norm-mode", "none"]) == 0
+        assert out.exists()
+
+
 def _with_bad_byte(src, dst, at=40):
     """Copy of ``src`` with a 0xff byte (never valid UTF-8) at offset ``at``."""
     raw = src.read_bytes()
@@ -784,6 +825,20 @@ class TestFlagsCheckedFirst:
         argv = ["simulate", "--out-dir", str(tmp_path / "out"), "--sizes", "5", flag, value]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutOfMemory:
+    def test_huge_dimension_is_a_clean_error(self, tmp_path, capsys):
+        # 3,631 blacklist means of 1e13 values each (258 PiB) exceed any 64-bit
+        # address space, so the allocation is refused without touching memory
+        out = tmp_path / "out"
+        argv = ["simulate", "--out-dir", str(out), "--dimension", "10000000000000",
+                "--sizes", "3", "--replicates", "1"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -392,6 +393,30 @@ class TestRowWriter:
         back = load_embeddings(tmp / "rt.csv")
         assert back == rt
         assert back.vectors.view(np.uint64).tobytes() == vecs.view(np.uint64).tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n_rows=st.sampled_from([0, 1, data._ROW_GROUP, data._ROW_GROUP + 1]),
+        n_ids=st.integers(0, 2),
+        dim=st.integers(1, 3),
+        data_=st.data(),
+    )
+    def test_table_equals_csv_writer(self, tmp_path_factory, n_rows, n_ids, dim, data_):
+        # a table may have no id columns and may hold infinities, as a DET curve does
+        ids = [data_.draw(st.lists(_ID_TEXT, min_size=n_rows, max_size=n_rows)) for _ in range(n_ids)]
+        value = st.one_of(
+            st.sampled_from([*_EDGE_FLOATS, -math.inf, math.inf]), st.floats(allow_nan=False)
+        )
+        vecs = np.array(
+            data_.draw(st.lists(value, min_size=n_rows * dim, max_size=n_rows * dim)),
+            dtype=np.float64,
+        ).reshape(n_rows, dim)
+        header = [f"c{j}" for j in range(n_ids + dim)]
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        data.save_table(path, header, ids, vecs)
+
+        rows = [[*(c[r] for c in ids), *map(repr, map(float, vecs[r]))] for r in range(n_rows)]
+        assert path.read_bytes() == reference_csv([header, *rows])
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         p = write(tmp_path / "e.csv", "old\n")

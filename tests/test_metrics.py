@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stackdet.data import ScoreMatrix
 from stackdet.metrics import (
-    OperatingPoint,
     _eer_scan,
     det_points,
     save_det_points,
@@ -281,6 +280,9 @@ class TestDetPoints:
         report = self.small_report()
         pts = det_points(report, 10)
         assert len(pts) == len(report.thetas)
+        # one float64 row per point, in the CSV's column order
+        assert pts.dtype == np.float64
+        assert np.array_equal(pts, np.column_stack((report.thetas, report.p_fa, report.p_miss)))
 
     def test_downsampled_keeps_endpoints_and_eer(self):
         rng = np.random.default_rng(31)
@@ -290,9 +292,9 @@ class TestDetPoints:
         report = sweep_top_s(y, h, truth)
         pts = det_points(report, 100)
         assert len(pts) <= 100
-        assert pts[0].theta == report.thetas[0]
-        assert pts[-1].theta == report.thetas[-1]
-        thetas = [p.theta for p in pts]
+        assert pts[0, 0] == report.thetas[0]
+        assert pts[-1, 0] == report.thetas[-1]
+        thetas = list(pts[:, 0])
         finite = [t for t in thetas if math.isfinite(t)]
         below = max(t for t in finite if t <= report.eer_threshold)
         above = min(t for t in finite if t >= report.eer_threshold)
@@ -305,14 +307,10 @@ class TestDetPoints:
         )
         for report in sweep_both(y, h, truth):
             pts = det_points(report, 501)
-            xs = np.array([p.theta for p in pts])
+            xs = pts[:, 0]
             keep = np.isfinite(xs)
-            miss = np.interp(
-                report.thetas[1:-1], xs[keep], np.array([p.p_miss for p in pts])[keep]
-            )
-            fa = np.interp(
-                report.thetas[1:-1], xs[keep], np.array([p.p_fa for p in pts])[keep]
-            )
+            miss = np.interp(report.thetas[1:-1], xs[keep], pts[keep, 2])
+            fa = np.interp(report.thetas[1:-1], xs[keep], pts[keep, 1])
             assert np.abs(miss - report.p_miss[1:-1]).max() < 0.01
             assert np.abs(fa - report.p_fa[1:-1]).max() < 0.01
 
@@ -321,10 +319,11 @@ class TestDetPoints:
             det_points(self.small_report(), 1)
 
     def test_csv_format(self, tmp_path):
-        pts = [OperatingPoint(0.5, 0.25, 0.125)]
+        pts = np.array([[-np.inf, 1.0, 0.0], [0.5, 0.125, 0.25], [np.inf, 0.0, 1.0]])
         save_det_points(pts, tmp_path / "det.csv")
-        text = (tmp_path / "det.csv").read_text(encoding="utf-8")
-        assert text == "theta,p_fa,p_miss\n0.5,0.125,0.25\n"
+        assert (tmp_path / "det.csv").read_bytes() == (
+            b"theta,p_fa,p_miss\n-inf,1.0,0.0\n0.5,0.125,0.25\ninf,0.0,1.0\n"
+        )
 
 
 class TestReportSerialization:

@@ -239,6 +239,8 @@ class TestRunSizeSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "blacklist_size,top_s_eer,top_1_eer"
         assert len(lines) == 3
+        rows = zip(r.sizes, r.top_s_eer.tolist(), r.top_1_eer.tolist())
+        assert lines[1:] == [f"{k},{s!r},{o!r}" for k, s, o in rows]
         import json
 
         sidecar = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
