@@ -38,15 +38,17 @@ _CHUNK = 2048
 
 
 def _normalize_rows(mat: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-    # a finite row can have a norm past the float range; it is an error, not a warning
+    # linalg.norm's own operations with the squares and quotient in one buffer; a
+    # finite row can have a norm past the float range: an error, not a warning
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(mat, axis=1)
+        out = np.square(mat)
+        norms = np.sqrt(np.add.reduce(out, axis=1))
     bad = np.flatnonzero((norms < ZERO_NORM) | np.isinf(norms))
     if bad.size:
         i = bad[0]
         what = "zero vector" if norms[i] < ZERO_NORM else "vector norm overflows"
         raise ValueError(f"{what} for utterance {ids[i]!r}")
-    return mat / norms[:, None]
+    return np.divide(mat, norms[:, None], out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +162,11 @@ def _score_spans(bank: DetectorBank, trials: EmbeddingSet) -> Iterator[tuple[int
     def spans() -> Iterator[tuple[int, np.ndarray]]:
         for a in range(0, max(len(trials), 1), _CHUNK):
             rows = slice(a, a + _CHUNK)
-            probes = _normalize_rows(trials.vectors[rows], trials.utterance_ids[rows])
-            yield a, probes @ bank.directions.T
+            # no name holds the probes: they are freed before the block is yielded
+            yield a, (
+                _normalize_rows(trials.vectors[rows], trials.utterance_ids[rows])
+                @ bank.directions.T
+            )
 
     return spans()
 
@@ -341,7 +346,11 @@ def stack_scores(
                 scores = _mnorm(scores, st, out=block if last else np.empty((b - a, k)))
                 if not np.isfinite(scores).all():
                     raise ValueError("scores contain non-finite values")
-            y_star[i, a:b] = scores.max(axis=1)
+            y_star[i, a:b] = y = scores.max(axis=1)
+            if not scores.flags.c_contiguous:
+                # argmax would copy this strided view; the first index equal to the
+                # max is argmax's own tie rule, and no NaN reaches here
+                scores = scores == y[:, None]
             h_star[i, a:b] = scores.argmax(axis=1)
         del block, scores  # free this block before the next one is scored
     return y_star, h_star

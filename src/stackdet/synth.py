@@ -7,7 +7,9 @@ three partitions; background speakers are disjoint per partition and
 unlabeled outside the train partition.  Everything is deterministic given
 the seed, with a fixed draw order: blacklist speaker means first, then per
 partition (train, dev, test) the background means, the blacklist utterances
-speaker by speaker, and the background utterances speaker by speaker.
+speaker by speaker, and the background utterances speaker by speaker; the
+background means and the noise are drawn in 2,048-row spans of that order.
+``run_size_sweep`` holds one replicate and one score block at a time.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from . import data
-from .bank import NORM_MODES, _corner_stats, enroll, stack_scores
+from .bank import _CHUNK, NORM_MODES, _corner_stats, enroll, stack_scores
 from .data import EmbeddingSet, PartitionManifest
 from .metrics import sweep_both
 
@@ -130,23 +133,29 @@ def generate_population(
     bl_ids = tuple(f"bl{i + 1:05d}" for i in range(pool))
     bl_means = rng.normal(0.0, config.speaker_spread, (pool, config.dimension))
 
+    def bg_means(n: int) -> Iterator[np.ndarray]:
+        for a in range(0, n, _CHUNK):
+            yield from rng.normal(0.0, config.speaker_spread, (min(_CHUNK, n - a), config.dimension))
+
     sets: dict[str, EmbeddingSet] = {}
     for name, spec in specs:
         n_bl = spec.blacklist_speakers
         bg_ids = [f"bg_{name}{i + 1:05d}" for i in range(spec.background_speakers)]
-        bg_means = rng.normal(
-            0.0, config.speaker_spread, (spec.background_speakers, config.dimension)
-        )
         speakers = [*bl_ids[:n_bl], *bg_ids]
         labels = speakers if name == "train" else [*bl_ids[:n_bl], *[None] * len(bg_ids)]
         counts = [spec.blacklist_utts_per_speaker] * n_bl + _background_counts(spec)
-        # One call draws the same values in the same order as one call per
-        # speaker, without a block per speaker and a vstack copy of them all.
-        vectors = rng.normal(0.0, config.channel_spread, (sum(counts), config.dimension))
+        # spans draw the values of one call per speaker, and mean + noise == noise + mean;
+        # no name keeps a row of means, so one span at most sits beside the vectors
+        vectors = np.empty((sum(counts), config.dimension))
+        means = itertools.chain(bl_means[:n_bl], bg_means(len(bg_ids)))
         a = 0
-        for mean, count in zip(itertools.chain(bl_means[:n_bl], bg_means), counts):
-            vectors[a : a + count] += mean
+        for count in counts:
+            vectors[a : a + count] = next(means)
             a += count
+        del means
+        for a in range(0, len(vectors), _CHUNK):
+            span = vectors[a : a + _CHUNK]
+            span += rng.normal(0.0, config.channel_spread, span.shape)
         utts = [f"{spk}_{name}{j + 1:02d}" for spk, n in zip(speakers, counts) for j in range(n)]
         spks = [spk for spk, n in zip(labels, counts) for _ in range(n)]
         sets[name] = EmbeddingSet(utts, spks, vectors)
@@ -169,6 +178,28 @@ class SizeSweepResult:
     replicate_top_s: np.ndarray  # (replicates, sizes)
     replicate_top_1: np.ndarray
     replicate_seeds: tuple[int, ...]
+
+
+def _replicate(
+    config: PopulationConfig, train_spec: PartitionSpec, test_spec: PartitionSpec,
+    sizes: list[int], norm_mode: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(y_star, h_star, truth)`` of one replicate; train is freed before the test set is scored."""
+    pop = generate_population(config, train_spec, PartitionSpec(0, 0), test_spec)
+    train, test = pop.train, pop.test
+    del pop
+    bank = enroll(train)
+    stats = None
+    if norm_mode != "none":
+        # train is blacklist-only and speaker-major: size k's cohort is its first k*u rows
+        u = train_spec.blacklist_utts_per_speaker
+        corners = [(k * u, k) for k in sizes]
+        stats = [st.for_mode(norm_mode) for st in _corner_stats(bank, train, corners)]
+    del train
+    index = {spk: i for i, spk in enumerate(bank.speaker_ids)}
+    truth = np.array([-1 if s is None else index[s] for s in test.speaker_ids], dtype=np.int64)
+    y_star, h_star = stack_scores(bank, test, sizes, stats)
+    return y_star, h_star, truth
 
 
 def run_size_sweep(
@@ -207,34 +238,20 @@ def run_size_sweep(
         raise ValueError("train_utts_per_speaker must be positive")
 
     train_spec = PartitionSpec(pool, 0, train_utts_per_speaker, 0)
-    empty_dev = PartitionSpec(0, 0)
     seeds = tuple(derive_replicate_seed(config.seed, r) for r in range(replicates))
     rep_s = np.empty((replicates, len(sizes)))
     rep_1 = np.empty((replicates, len(sizes)))
 
     for r in range(replicates):
-        pop = generate_population(
-            replace(config, seed=seeds[r]), train_spec, empty_dev, test_spec
+        y_star, h_star, truth = _replicate(
+            replace(config, seed=seeds[r]), train_spec, test_spec, sizes, norm_mode
         )
-        full_bank = enroll(pop.train)
-        index = {spk: i for i, spk in enumerate(full_bank.speaker_ids)}
-        truth = np.array(
-            [-1 if s is None else index[s] for s in pop.test.speaker_ids],
-            dtype=np.int64,
-        )
-        stats = None
-        if norm_mode != "none":
-            # train is blacklist-only and speaker-major: size k's cohort is its first k*u rows
-            u = train_utts_per_speaker
-            corners = [(k * u, k) for k in sizes]
-            stats = [st.for_mode(norm_mode) for st in _corner_stats(full_bank, pop.train, corners)]
-        y_star, h_star = stack_scores(full_bank, pop.test, sizes, stats)
-        del pop  # free this population before the next one is drawn
         for ki, k in enumerate(sizes):
             keep = truth < k  # backgrounds (-1) and enrolled speakers
             top_s, top_1 = sweep_both(y_star[ki, keep], h_star[ki, keep], truth[keep])
             rep_s[r, ki] = top_s.eer
             rep_1[r, ki] = top_1.eer
+        del y_star, h_star, truth  # nothing of this replicate lives while the next is drawn
 
     return SizeSweepResult(
         sizes=tuple(sizes),

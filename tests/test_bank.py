@@ -527,10 +527,18 @@ class TestStackScores:
             assert_kernel_matches_dense(7, 3, 2, 6, n_trials, [1, 2, 2, 6], mode)
 
     def test_duplicate_directions_tie_to_lowest_index(self):
-        bank = DetectorBank(["a", "b", "c"], [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        trials = EmbeddingSet(["t"], [None], [[2.0, 0.0]])
-        y, h = stack_scores(bank, trials, [3])
-        assert (y[0, 0], h[0, 0]) == (1.0, 1)
+        """At the full width and at narrower sizes, which score strided views of the block."""
+        bank = DetectorBank(list("abcd"), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        trials = EmbeddingSet(["t", "u"], [None, None], [[2.0, 0.0], [0.0, 3.0]])
+        sizes = [1, 2, 3, 4]
+        y_star, h_star = stack_scores(bank, trials, sizes)
+        assert h_star.tolist() == [[0, 0], [0, 0], [0, 2], [0, 2]]
+        assert y_star[-1].tolist() == [1.0, 1.0]
+        dense = score_all(bank, trials)
+        for y1, h1, k in zip(y_star, h_star, sizes):
+            y, h = stack_reduce(ScoreMatrix(dense.trial_ids, dense.detector_ids[:k], dense.scores[:, :k]))
+            assert y.tobytes() == y1.tobytes()
+            assert h.astype(np.int64).tobytes() == h1.tobytes()
 
     def test_non_finite_normalized_scores_rejected(self):
         bank, trials, _ = kernel_case(3, 4, 2, 3, 10, [3])
@@ -598,6 +606,22 @@ class TestSpanMemory:
         finally:
             tracemalloc.stop()
         assert peak < trials.vectors.nbytes, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_narrow_sizes_add_no_copy_of_the_block(self):
+        """Sizes below the bank width hold no float copy of their strided view."""
+        rng = np.random.default_rng(19)
+        n = 2 * _CHUNK + 1
+        trials = EmbeddingSet([f"t{i}" for i in range(n)], [None] * n, rng.standard_normal((n, 40)))
+        speakers = [f"d{i}" for i in range(400)]
+        bank = enroll(EmbeddingSet(speakers, speakers, rng.standard_normal((400, 40))))
+        tracemalloc.start()
+        try:
+            stack_scores(bank, trials, [100, 300, 400])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = _CHUNK * len(bank) * 8
+        assert peak < 1.25 * block_bytes, f"peak {peak / block_bytes:.2f} x one block"
 
 
 class TestScoreBlocks:

@@ -1,6 +1,10 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from stackdet import synth
 from stackdet.bank import enroll, score_all
 from stackdet.synth import (
     PartitionSpec,
@@ -112,6 +116,19 @@ class TestGeneratePopulation:
             assert (es.utterance_ids, es.speaker_ids) == (tuple(utts), tuple(spks))
             assert es.vectors.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
 
+    def test_peak_stays_near_the_vectors(self):
+        """Means and noise are drawn in spans: no whole-partition temporary beside the vectors."""
+        n = 8 * 2048
+        specs = (PartitionSpec(2, 0, 1, 0), PartitionSpec(0, 0), PartitionSpec(2, n, 1, n))
+        tracemalloc.start()
+        try:
+            pop = generate_population(PopulationConfig(dimension=400, seed=3), *specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector_bytes = sum(es.vectors.nbytes for es in (pop.train, pop.dev, pop.test))
+        assert peak < 1.25 * vector_bytes, f"peak {peak / vector_bytes:.2f} x the vectors"
+
     def test_seed_changes_vectors(self):
         train, dev, test = small_specs()
         a = generate_population(SMALL, train, dev, test)
@@ -221,6 +238,39 @@ class TestRunSizeSweep:
         r = self.small_sweep(norm_mode="full", sizes=[5, 30], replicates=1,
                              train_utts_per_speaker=4)
         assert (r.top_1_eer >= r.top_s_eer - 1e-12).all()
+
+    @pytest.mark.parametrize("norm_mode", ["none", "full"])
+    def test_one_replicate_alive_at_a_time(self, monkeypatch, norm_mode):
+        train_alive, earlier_alive, refs, trains = [], [], [], []
+        real_generate, real_enroll, real_stack = (
+            synth.generate_population, synth.enroll, synth.stack_scores
+        )
+
+        def spy_generate(*args):
+            earlier_alive.append([ref() is not None for ref in refs])
+            pop = real_generate(*args)
+            refs.append(weakref.ref(pop.test))
+            trains.append(weakref.ref(pop.train))
+            return pop
+
+        def spy_enroll(train):
+            bank = real_enroll(train)
+            refs.append(weakref.ref(bank))
+            return bank
+
+        def spy_stack(bank, trials, sizes, stats):
+            train_alive.append(trains[-1]() is not None)
+            y_star, h_star = real_stack(bank, trials, sizes, stats)
+            refs.extend([weakref.ref(y_star), weakref.ref(h_star)])
+            return y_star, h_star
+
+        monkeypatch.setattr(synth, "generate_population", spy_generate)
+        monkeypatch.setattr(synth, "enroll", spy_enroll)
+        monkeypatch.setattr(synth, "stack_scores", spy_stack)
+        self.small_sweep(replicates=3, norm_mode=norm_mode)
+        assert train_alive == [False] * 3
+        # replicate r's test set, bank, y* and h* are gone before r + 1 is drawn
+        assert earlier_alive == [[], [False] * 4, [False] * 8]
 
     def test_size_validation(self):
         with pytest.raises(ValueError, match="exceeds"):
