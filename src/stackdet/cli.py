@@ -2,16 +2,16 @@
 
 All outputs are deterministic given the flags and the BLAS thread count:
 repeated runs produce byte-identical files.  ``--threads`` is accepted and
-ignored, so existing command lines keep working.  Wall-clock timings go
-to stderr, not into report files.  Output locations are checked before
-any input is read, and the files of one command appear together or not at
-all.  Errors are printed to stderr with an ``error:`` prefix and a nonzero
-exit code.
+ignored, so existing command lines keep working.  Each command prints its
+wall-clock time to stderr, never into report files.  Output locations are
+checked before any input is read, and the files of one command appear
+together or not at all.  Errors are printed to stderr with an ``error:``
+prefix and a nonzero exit code.
 
 A bank directory holds ``bank.csv`` (one unit direction per detector) and
 ``mnorm.json`` (its cohort statistics).  ``load_bank`` returns the two
-apart, and ``_mnorm_for`` resolves the statistics for ``--norm-mode``
-through ``MNormStats.for_mode``.
+apart, and ``_bank_and_trials`` resolves the statistics for ``--norm-mode``
+through ``MNormStats.for_mode``.  ``mnorm.json`` and the labels are read here.
 """
 
 from __future__ import annotations
@@ -157,9 +157,12 @@ def load_bank(bank_dir) -> tuple[bank_mod.DetectorBank, bank_mod.MNormStats | No
     return b, _load_mnorm(b, stats_path) if stats_path.exists() else None
 
 
-def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int]:
-    """Label CSV rows are ``utterance_id,truth`` with ``-`` (index -1) for background."""
-    index = {spk: i for i, spk in enumerate(b.speaker_ids)}
+def _load_truth(path, b: bank_mod.DetectorBank, trials: data.EmbeddingSet) -> np.ndarray:
+    """Each trial's true detector index from label CSV rows ``utterance_id,truth``.
+
+    ``-`` (index -1) marks background; labels of utterances that are not trials go unused.
+    """
+    index = {spk: i for i, spk in enumerate(b.speaker_ids)} | {data.UNLABELED: -1}
     mapping: dict[str, int] = {}
     with data.open_text(path) as f:
         for rownum, rec in data.csv_records(f, path):
@@ -172,33 +175,35 @@ def _load_labels(path, b: bank_mod.DetectorBank) -> dict[str, int]:
                 raise data.DataFormatError(
                     f"{path}: row {rownum}: duplicate label for {utt!r}"
                 )
-            if truth == data.UNLABELED:
-                mapping[utt] = -1
-            elif truth in index:
-                mapping[utt] = index[truth]
-            else:
+            if truth not in index:
                 raise ValueError(
                     f"{path}: row {rownum}: truth speaker {truth!r} is not in the bank"
                 )
-    return mapping
+            mapping[utt] = index[truth]
+    try:
+        return np.array([mapping[utt] for utt in trials.utterance_ids], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing label for trial {exc.args[0]!r}") from None
 
 
-def _mnorm_for(stats: bank_mod.MNormStats | None, norm_mode: str) -> bank_mod.MNormStats | None:
-    """The stats that ``--norm-mode`` applies, or None for none."""
-    if norm_mode == "none":
-        return None
-    if stats is None:
+def _bank_and_trials(args):
+    """The bank, the stats that ``--norm-mode`` applies (None for none) and the trials."""
+    b, stats = load_bank(args.bank)
+    if stats is None and args.norm_mode != "none":
         raise ValueError(
-            f"normalization mode {norm_mode!r} needs {MNORM_FILE} in the bank directory"
+            f"normalization mode {args.norm_mode!r} needs {MNORM_FILE} in the bank directory"
         )
-    return stats.for_mode(norm_mode)
+    stats = None if stats is None else stats.for_mode(args.norm_mode)
+    trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
+    return b, stats, trials
 
 
 def cmd_enroll(args) -> int:
     _check_out_dir(args.out_dir, (BANK_FILE, MNORM_FILE))
     pooled = data.load_embeddings(args.train)
     if args.augment:
-        pooled = data.concatenate([pooled, data.load_embeddings(args.augment)])
+        extra = data.load_embeddings(args.augment, expected_dimension=pooled.dimension)
+        pooled = data.concatenate([pooled, extra])
     b = bank_mod.enroll(pooled)
     stats = bank_mod.compute_mnorm_stats(b, pooled)
     save_bank(b, stats, Path(args.out_dir))
@@ -208,27 +213,18 @@ def cmd_enroll(args) -> int:
 
 def cmd_score(args) -> int:
     _check_out_file(args.out)
-    b, stats = load_bank(args.bank)
-    stats = _mnorm_for(stats, args.norm_mode)
-    trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
+    b, stats, trials = _bank_and_trials(args)
     data.save_scores(bank_mod.score_blocks(b, trials, stats), args.out)
     print(f"scored trials={len(trials)} detectors={len(b)}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    started = time.perf_counter()
     if args.det_points < 2:
         raise ValueError(f"--det-points must be at least 2, got {args.det_points}")
     _check_out_dir(args.out_dir, (REPORT_FILE, *DET_FILES))
-    b, stats = load_bank(args.bank)
-    stats = _mnorm_for(stats, args.norm_mode)
-    trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
-    mapping = _load_labels(args.labels, b)
-    for utt in trials.utterance_ids:
-        if utt not in mapping:
-            raise ValueError(f"{args.labels}: missing label for trial {utt!r}")
-    truth = np.array([mapping[utt] for utt in trials.utterance_ids], dtype=np.int64)
+    b, stats, trials = _bank_and_trials(args)
+    truth = _load_truth(args.labels, b, trials)
     (y_star,), (h_star,) = bank_mod.stack_scores(b, trials, [len(b)], [stats])
     top_s, top_1 = metrics.sweep_both(y_star, h_star, truth)
 
@@ -254,14 +250,10 @@ def cmd_eval(args) -> int:
         for rep, name in zip((top_s, top_1), DET_FILES):
             metrics.save_det_points(metrics.det_points(rep, args.det_points), out_dir / name)
     print(f"top_s_eer={top_s.eer!r} top_1_eer={top_1.eer!r}")
-    print(
-        f"timing: eval took {time.perf_counter() - started:.3f}s", file=sys.stderr
-    )
     return 0
 
 
 def cmd_simulate(args) -> int:
-    started = time.perf_counter()
     sizes = _parse_sizes(args.sizes)
     _check_out_dir(args.out_dir, SWEEP_FILES)
     config = synth.PopulationConfig(
@@ -296,10 +288,6 @@ def cmd_simulate(args) -> int:
     )
     for k, s, o in zip(result.sizes, result.top_s_eer, result.top_1_eer):
         print(f"size={k} top_s_eer={float(s):.6f} top_1_eer={float(o):.6f}")
-    print(
-        f"timing: simulate took {time.perf_counter() - started:.3f}s",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -319,13 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
             " e.g. OPENBLAS_NUM_THREADS",
         )
 
-    def add_norm(p):
-        p.add_argument(
-            "--norm-mode",
-            choices=bank_mod.NORM_MODES,
-            default="full",
-            help="score normalization applied after raw scoring",
-        )
+    def add_norm(p, default, help):
+        p.add_argument("--norm-mode", choices=bank_mod.NORM_MODES, default=default, help=help)
 
     p = sub.add_parser("enroll", help="build a detector bank from labeled utterances")
     p.add_argument("--train", required=True, help="labeled embedding CSV to enroll")
@@ -338,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True, help="bank directory written by enroll")
     p.add_argument("--trials", required=True, help="embedding CSV of trials")
     p.add_argument("--out", required=True, help="output score CSV path")
-    add_norm(p)
+    add_norm(p, "full", "score normalization applied after raw scoring")
     add_threads(p)
     p.set_defaults(func=cmd_score)
 
@@ -353,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_DET_POINTS,
         help="maximum operating points per DET CSV",
     )
-    add_norm(p)
+    add_norm(p, "full", "score normalization applied after raw scoring")
     add_threads(p)
     p.set_defaults(func=cmd_eval)
 
@@ -369,12 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, default=synth.DEFAULT_DIMENSION)
     p.add_argument("--speaker-spread", type=float, default=synth.DEFAULT_SPEAKER_SPREAD)
     p.add_argument("--channel-spread", type=float, default=synth.DEFAULT_CHANNEL_SPREAD)
-    p.add_argument(
-        "--norm-mode",
-        choices=bank_mod.NORM_MODES,
-        default="none",
-        help="score normalization inside the sweep",
-    )
+    add_norm(p, "none", "score normalization inside the sweep")
     add_threads(p)
     p.set_defaults(func=cmd_simulate)
     return parser
@@ -382,14 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the size it could not allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    print(f"timing: {args.subcommand} took {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -95,22 +95,24 @@ def _eer_scan(theta, p_miss, p_fa):
     with explicit threshold lists).
     """
     d = p_miss - p_fa
-    n = len(theta)
-    for j in range(n):
-        if d[j] == 0.0:
-            return float(p_miss[j]), float(theta[j])
-        if j + 1 < n and (d[j] < 0.0 < d[j + 1] or d[j] > 0.0 > d[j + 1]):
-            t = d[j] / (d[j] - d[j + 1])
-            miss = p_miss[j] + t * (p_miss[j + 1] - p_miss[j])
-            fa = p_fa[j] + t * (p_fa[j + 1] - p_fa[j])
-            if math.isinf(theta[j]):
-                th = float(theta[j + 1])
-            elif math.isinf(theta[j + 1]):
-                th = float(theta[j])
-            else:
-                th = float(theta[j] + t * (theta[j + 1] - theta[j]))
-            return float(0.5 * (miss + fa)), th
-    return None, None
+    sign = np.sign(d)
+    # where the rates tie, or cross strictly before the next point
+    hits = np.flatnonzero((sign == 0) | (sign * np.append(sign[1:], 0.0) < 0))
+    if not hits.size:
+        return None, None
+    j = int(hits[0])
+    if d[j] == 0.0:
+        return float(p_miss[j]), float(theta[j])
+    t = d[j] / (d[j] - d[j + 1])
+    miss = p_miss[j] + t * (p_miss[j + 1] - p_miss[j])
+    fa = p_fa[j] + t * (p_fa[j + 1] - p_fa[j])
+    if math.isinf(theta[j]):
+        th = float(theta[j + 1])
+    elif math.isinf(theta[j + 1]):
+        th = float(theta[j])
+    else:
+        th = float(theta[j] + t * (theta[j + 1] - theta[j]))
+    return float(0.5 * (miss + fa)), th
 
 
 def sweep_both(
@@ -173,21 +175,17 @@ def det_points(report: DetectorReport, max_points: int) -> np.ndarray:
     if max_points < 2:
         raise ValueError("max_points must be at least 2")
     n = len(report.thetas)
-    if n <= max_points:
-        idx = list(range(n))
-    else:
-        chosen = {0, n - 1}
-        if report.eer_threshold is not None and len(chosen) + 2 <= max_points:
+    idx = slice(None)
+    if n > max_points:
+        fixed = {0, n - 1}
+        if report.eer_threshold is not None and len(fixed) + 2 <= max_points:
             j = int(np.searchsorted(report.thetas, report.eer_threshold, side="right"))
-            chosen.update({max(0, min(j - 1, n - 1)), max(0, min(j, n - 1))})
+            fixed.update({max(0, min(j - 1, n - 1)), max(0, min(j, n - 1))})
         steps = np.abs(np.diff(report.p_miss)) + np.abs(np.diff(report.p_fa))
         u = np.concatenate(([0.0], np.cumsum(steps)))
-        targets = np.linspace(0.0, u[-1], max_points - len(chosen))
-        for j in np.searchsorted(u, targets):
-            if len(chosen) >= max_points:
-                break
-            chosen.add(int(min(j, n - 1)))
-        idx = sorted(chosen)
+        # one target per free slot, and each target adds at most one index
+        targets = np.linspace(0.0, u[-1], max_points - len(fixed))
+        idx = np.union1d(list(fixed), np.minimum(np.searchsorted(u, targets), n - 1))
     return np.column_stack((report.thetas[idx], report.p_fa[idx], report.p_miss[idx]))
 
 

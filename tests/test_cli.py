@@ -2,6 +2,7 @@ import csv
 import errno
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -56,7 +57,9 @@ class TestEnroll:
         )
         assert rc == 0
         assert (out / "bank.csv").exists() and (out / "mnorm.json").exists()
-        assert capsys.readouterr().out.strip() == "enrolled S=8 D=6 cohort=24"
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "enrolled S=8 D=6 cohort=24"
+        assert re.fullmatch(r"timing: enroll took \d+\.\d{3}s\n", captured.err)
 
     def test_repeat_runs_are_byte_identical(self, workspace, tmp_path):
         root, _, _ = workspace
@@ -93,6 +96,26 @@ class TestEnroll:
         )
         assert rc == 0
         assert capsys.readouterr().out.strip() == "enrolled S=8 D=6 cohort=32"
+
+    def test_augment_of_another_dimension_names_the_file(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        augment = tmp_path / "wide.csv"
+        augment.write_text("w1,s0,1.0,0,0,0,0,0,0\nw2,s0,1.0,0,0,0,0,0\n", encoding="utf-8")
+        out = tmp_path / "bank"
+        rc = cli.main(
+            [
+                "enroll",
+                "--train",
+                str(root / "train_blacklist.csv"),
+                "--augment",
+                str(augment),
+                "--out-dir",
+                str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {augment}: row 1: 7 values, expected 6\n"
+        assert not out.exists()
 
     def test_unlabeled_row_is_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -135,7 +158,7 @@ def bank_dir(workspace, tmp_path_factory):
 
 
 class TestScore:
-    def test_matches_library_bit_exactly(self, workspace, bank_dir, tmp_path):
+    def test_matches_library_bit_exactly(self, workspace, bank_dir, tmp_path, capsys):
         root, pop, train_bl = workspace
         out = tmp_path / "scores.csv"
         rc = cli.main(
@@ -152,6 +175,7 @@ class TestScore:
             ]
         )
         assert rc == 0
+        assert re.fullmatch(r"timing: score took \d+\.\d{3}s\n", capsys.readouterr().err)
         b = enroll(train_bl)
         expected = apply_mnorm(
             score_all(b, pop.test), compute_mnorm_stats(b, train_bl), "full"
@@ -290,9 +314,10 @@ class TestEval:
             ]
         )
 
-    def test_report_matches_library_pipeline(self, workspace, bank_dir, tmp_path):
+    def test_report_matches_library_pipeline(self, workspace, bank_dir, tmp_path, capsys):
         root, pop, train_bl = workspace
         assert self.run_eval(workspace, bank_dir, tmp_path / "out") == 0
+        assert re.fullmatch(r"timing: eval took \d+\.\d{3}s\n", capsys.readouterr().err)
         report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
         b = enroll(train_bl)
         matrix = apply_mnorm(
@@ -391,6 +416,60 @@ class TestEval:
         )
         assert rc == 1
         assert "not in the bank" in capsys.readouterr().err
+
+
+def write_labels(path, rows):
+    """Label CSV of ``(utterance_id, truth)`` rows, ids quoted by the csv module."""
+    with path.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\r\n").writerows(rows)
+
+
+class TestMetamorphic:
+    """Input changes whose effect on the eval outputs is known exactly."""
+
+    def eval_into(self, workspace, bank, labels, out):
+        root, _, _ = workspace
+        argv = ["eval", "--bank", str(bank), "--trials", str(root / "test_trials.csv")]
+        assert cli.main([*argv, "--labels", str(labels), "--out-dir", str(out)]) == 0
+        return read_all_bytes(out)
+
+    def test_renaming_speakers_keeps_reports(self, workspace, bank_dir, tmp_path):
+        root, pop, train_bl = workspace
+        speakers = list(dict.fromkeys(train_bl.speaker_ids))
+        # reversed order, and ids that need csv quoting: a comma, a quote, a CR
+        renamed = {s: f'{len(speakers) - i},"q"\r{s}' for i, s in enumerate(speakers)}
+        train = EmbeddingSet(
+            train_bl.utterance_ids,
+            [renamed[s] for s in train_bl.speaker_ids],
+            train_bl.vectors,
+        )
+        train_csv, bank = tmp_path / "train.csv", tmp_path / "bank"
+        save_embeddings(train, train_csv)
+        assert cli.main(["enroll", "--train", str(train_csv), "--out-dir", str(bank)]) == 0
+        write_labels(
+            tmp_path / "labels.csv",
+            [
+                (u, data.UNLABELED if s is None else renamed[s])
+                for u, s in zip(pop.test.utterance_ids, pop.test.speaker_ids)
+            ],
+        )
+        got = self.eval_into(workspace, bank, tmp_path / "labels.csv", tmp_path / "renamed")
+        want = self.eval_into(workspace, bank_dir, root / "test_labels.csv", tmp_path / "plain")
+        got_modes, want_modes = (
+            json.dumps(json.loads(out["report.json"])["mode_reports"], indent=2, sort_keys=True)
+            for out in (got, want)
+        )
+        assert got_modes == want_modes
+        assert all(got[name] == want[name] for name in cli.DET_FILES)
+
+    def test_permuting_label_rows_changes_no_byte(self, workspace, bank_dir, tmp_path):
+        root, _, _ = workspace
+        rows = [line.split(",") for line in (root / "test_labels.csv").read_text("utf-8").splitlines()]
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, rows)
+        before = self.eval_into(workspace, bank_dir, labels, tmp_path / "before")
+        write_labels(labels, [rows[i] for i in np.random.default_rng(5).permutation(len(rows))])
+        assert self.eval_into(workspace, bank_dir, labels, tmp_path / "after") == before
 
 
 class TestMalformedBank:

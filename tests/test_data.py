@@ -583,6 +583,15 @@ def test_records_share_one_validation(name):
     assert caller.flags.writeable
 
 
+class TestSubset:
+    @pytest.mark.parametrize("mask", [[True, False], [True] * 5])
+    def test_boolean_mask_of_another_length_is_an_error(self, mask):
+        es = EmbeddingSet(["a", "b", "c", "d"], ["s", None, "s", None], np.eye(4))
+        assert es.subset([False, True, False, True]).utterance_ids == ("b", "d")
+        with pytest.raises(ValueError, match=f"mask of length {len(mask)} for 4 rows"):
+            es.subset(mask)
+
+
 class TestConcatenate:
     def test_orders_and_dims(self):
         a = EmbeddingSet(["u1"], ["s"], [[1.0, 0.0]])

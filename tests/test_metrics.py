@@ -326,6 +326,85 @@ class TestDetPoints:
         )
 
 
+# ---------------------------------------------------------------------------
+# the per-threshold loops that `_eer_scan` and `det_points` replaced, kept as
+# references that the array versions must equal bit for bit
+# ---------------------------------------------------------------------------
+
+
+def loop_eer_scan(theta, p_miss, p_fa):
+    d = p_miss - p_fa
+    n = len(theta)
+    for j in range(n):
+        if d[j] == 0.0:
+            return float(p_miss[j]), float(theta[j])
+        if j + 1 < n and (d[j] < 0.0 < d[j + 1] or d[j] > 0.0 > d[j + 1]):
+            t = d[j] / (d[j] - d[j + 1])
+            miss = p_miss[j] + t * (p_miss[j + 1] - p_miss[j])
+            fa = p_fa[j] + t * (p_fa[j + 1] - p_fa[j])
+            if math.isinf(theta[j]):
+                th = float(theta[j + 1])
+            elif math.isinf(theta[j + 1]):
+                th = float(theta[j])
+            else:
+                th = float(theta[j] + t * (theta[j + 1] - theta[j]))
+            return float(0.5 * (miss + fa)), th
+    return None, None
+
+
+def loop_det_points(report, max_points):
+    n = len(report.thetas)
+    if n <= max_points:
+        idx = list(range(n))
+    else:
+        chosen = {0, n - 1}
+        if report.eer_threshold is not None and len(chosen) + 2 <= max_points:
+            j = int(np.searchsorted(report.thetas, report.eer_threshold, side="right"))
+            chosen.update({max(0, min(j - 1, n - 1)), max(0, min(j, n - 1))})
+        steps = np.abs(np.diff(report.p_miss)) + np.abs(np.diff(report.p_fa))
+        u = np.concatenate(([0.0], np.cumsum(steps)))
+        targets = np.linspace(0.0, u[-1], max_points - len(chosen))
+        for j in np.searchsorted(u, targets):
+            if len(chosen) >= max_points:
+                break
+            chosen.add(int(min(j, n - 1)))
+        idx = sorted(chosen)
+    return np.column_stack((report.thetas[idx], report.p_fa[idx], report.p_miss[idx]))
+
+
+class TestArrayScansEqualLoops:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 700),
+        # 0: continuous scores; otherwise scores fall on this many tied levels
+        levels=st.sampled_from([0, 1, 2, 3, 7, 40]),
+        n_thresholds=st.sampled_from([None, 1, 2, 5, 30]),
+    )
+    def test_eer_and_det_points_equal_the_loops(self, seed, n, levels, n_thresholds):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(n)
+        if levels:
+            y = np.round(y * levels) / levels
+        h = rng.integers(0, 3, n)
+        truth = np.where(rng.uniform(size=n) < 0.5, -1, rng.integers(0, 3, n))
+        truth[:2] = [-1, 0]
+        thresholds = None
+        if n_thresholds is not None:
+            # observed scores, fresh values and the sentinels, with repeats
+            pool = np.concatenate((y, rng.standard_normal(n), [-np.inf, np.inf]))
+            thresholds = rng.choice(pool, n_thresholds)
+        for report in sweep_both(y, h, truth, thresholds):
+            expected = loop_eer_scan(report.thetas, report.p_miss, report.p_fa)
+            assert _eer_scan(report.thetas, report.p_miss, report.p_fa) == expected
+            assert (report.eer, report.eer_threshold) == expected
+            for max_points in (2, 3, 4, 5, 17, 512):
+                got = det_points(report, max_points)
+                want = loop_det_points(report, max_points)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestReportSerialization:
     def test_to_dict_is_json_ready(self):
         y, h, truth = make_trials([0.9, 0.7], [0.2])
