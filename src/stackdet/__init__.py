@@ -27,7 +27,6 @@ from .data import (
     load_embeddings,
     save_embeddings,
     save_manifest,
-    save_scores,
     validate_partition,
 )
 from .metrics import (

@@ -9,12 +9,12 @@ is the one place that knows the normalization modes: it resolves a mode to
 the statistics of its formula, or to None for no normalization, and every
 scorer applies ``(y - mu) / sigma`` whenever its statistics are not None.
 
-Every scorer runs over one loop, ``_score_spans``, one block at a time: it
+Every scorer runs over one loop, ``score_blocks``, one block at a time: it
 length-normalizes each fixed trial span and scores it, so no normalized copy
 of a whole set is made.  It feeds the stack scores of ``eval`` and
-``simulate``, the streamed score table, and the cohort statistics, which sum
-score rows block by block in numpy's row order.  ``score_all`` alone builds
-the dense trials x detectors matrix; with ``apply_mnorm``,
+``simulate``, the score CSV of ``score``, and the cohort statistics, which
+sum score rows block by block in numpy's row order.  ``score_all`` alone
+builds the dense trials x detectors matrix; with ``apply_mnorm``,
 ``mnorm_stats_from_scores`` and ``metrics.stack_reduce`` it is the reference
 the blockwise paths are tested against.
 """
@@ -146,40 +146,54 @@ def enroll(pooled: EmbeddingSet) -> DetectorBank:
     return DetectorBank(tuple(groups), directions)
 
 
-def _score_spans(bank: DetectorBank, trials: EmbeddingSet) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(a, probes @ directions.T)`` for each fixed trial span ``a:a + _CHUNK``.
+def score_blocks(
+    bank: DetectorBank,
+    trials: EmbeddingSet,
+    stats: MNormStats | None = None,
+) -> Iterator[np.ndarray]:
+    """Yield ``score_all(bank, trials)`` after M-Norm with ``stats`` (if not None) in row blocks.
 
-    The dimension is checked on the call; a span's probes are its trials,
-    length-normalized when its block is asked for.  No trials give one empty
-    block.  The loop keeps no reference to a block it has yielded, so a caller
-    that drops its own before asking for the next holds one block at a time.
+    Each block scores one fixed ``_CHUNK``-row trial span, length-normalized
+    when the block is asked for; M-Norm runs in place and a non-finite result
+    raises.  No trials give one empty block.  A caller that drops each block
+    before asking for the next holds one at a time; it counts row offsets by
+    hand, as the tuple ``enumerate`` or ``zip`` reuses keeps a block alive.
     """
     if trials.dimension != bank.dimension:
         raise ValueError(
             f"dimension mismatch: trials {trials.dimension} vs bank {bank.dimension}"
         )
+    _check_mnorm(stats, len(bank))
 
-    def spans() -> Iterator[tuple[int, np.ndarray]]:
+    def blocks() -> Iterator[np.ndarray]:
         for a in range(0, max(len(trials), 1), _CHUNK):
             rows = slice(a, a + _CHUNK)
             # no name holds the probes: they are freed before the block is yielded
-            yield a, (
+            block = (
                 _normalize_rows(trials.vectors[rows], trials.utterance_ids[rows])
                 @ bank.directions.T
             )
+            # cosines of finite unit vectors are finite; only M-Norm can overflow
+            if stats is not None:
+                _mnorm(block, stats, out=block)
+                if not np.isfinite(block).all():
+                    raise ValueError("scores contain non-finite values")
+            yield block
+            del block
 
-    return spans()
+    return blocks()
 
 
 def score_all(bank: DetectorBank, trials: EmbeddingSet) -> ScoreMatrix:
     """Cosine of every length-normalized trial against every detector.
 
-    Scored in the same fixed trial blocks as ``stack_scores`` and
-    ``score_blocks``, so all three give the same bytes on any BLAS.
+    Scored in the blocks of ``score_blocks``, as every scorer is, so all agree on any BLAS.
     """
     out = np.empty((len(trials), len(bank)))
-    for a, block in _score_spans(bank, trials):
-        out[a : a + len(block)] = block
+    b = 0
+    for block in score_blocks(bank, trials):
+        a, b = b, b + len(block)
+        out[a:b] = block
         del block
     return ScoreMatrix(trials.utterance_ids, bank.speaker_ids, out)
 
@@ -208,7 +222,7 @@ def _corner_stats(
     column = np.empty((n_max, 1))
     mus: dict[int, np.ndarray] = {}
     j = 0
-    for _, block in _score_spans(bank, cohort):
+    for block in score_blocks(bank, cohort):
         for row in block[: n_max - j, :k_max]:
             total += row
             column[j] = row[0]
@@ -223,7 +237,7 @@ def _corner_stats(
     wide = {c: np.zeros(k) for c, (_, k) in enumerate(corners) if k > 1}
     n_wide = max((corners[c][0] for c in wide), default=0)
     j = 0
-    for _, block in _score_spans(bank, cohort) if wide else ():
+    for block in score_blocks(bank, cohort) if wide else ():
         for row in block[: n_wide - j]:
             for c, squares in wide.items():
                 n, k = corners[c]
@@ -334,8 +348,9 @@ def stack_scores(
         _check_mnorm(st, k)
     y_star = np.empty((len(sizes), len(trials)))
     h_star = np.empty((len(sizes), len(trials)), dtype=np.int64)
-    for a, block in _score_spans(bank, trials):
-        b = a + len(block)
+    b = 0
+    for block in score_blocks(bank, trials):
+        a, b = b, b + len(block)
         for i, (k, st) in enumerate(zip(sizes, stats)):
             scores = block[:, :k]
             # cosines of finite unit vectors are finite; only M-Norm can overflow
@@ -354,27 +369,3 @@ def stack_scores(
             h_star[i, a:b] = scores.argmax(axis=1)
         del block, scores  # free this block before the next one is scored
     return y_star, h_star
-
-
-def score_blocks(
-    bank: DetectorBank,
-    trials: EmbeddingSet,
-    stats: MNormStats | None = None,
-) -> Iterator[ScoreMatrix]:
-    """``score_all(bank, trials)`` after M-Norm with ``stats`` (if not None), in trial blocks.
-
-    Each block is one fixed ``_CHUNK``-row span, scored and normalized in
-    place when it is requested, so only one block is held at a time.  No
-    trials give one empty block.  A block with a non-finite score raises.
-    """
-    _check_mnorm(stats, len(bank))
-    spans = _score_spans(bank, trials)
-
-    def blocks() -> Iterator[ScoreMatrix]:
-        for a, block in spans:
-            if stats is not None:
-                _mnorm(block, stats, out=block)
-            yield ScoreMatrix(trials.utterance_ids[a : a + _CHUNK], bank.speaker_ids, block)
-            del block
-
-    return blocks()

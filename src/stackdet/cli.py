@@ -214,7 +214,8 @@ def cmd_enroll(args) -> int:
 def cmd_score(args) -> int:
     _check_out_file(args.out)
     b, stats, trials = _bank_and_trials(args)
-    data.save_scores(bank_mod.score_blocks(b, trials, stats), args.out)
+    blocks = bank_mod.score_blocks(b, trials, stats)
+    data.save_table(args.out, ("utterance_id", *b.speaker_ids), (trials.utterance_ids,), blocks)
     print(f"scored trials={len(trials)} detectors={len(b)}")
     return 0
 

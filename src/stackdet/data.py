@@ -5,10 +5,10 @@ LF line endings):
 
 * embedding CSV, headerless: ``utterance_id,speaker_id,v1,...,vD`` with ``-``
   in the speaker column marking an unlabeled utterance,
-* score CSV, written and never read: header row naming the columns
-  (``utterance_id`` followed by the detector speaker ids), then one row per trial,
-* float table (``save_table``; the DET curves and ``size_sweep.csv``): a
-  header row, then per row its id columns, if any, and its floats,
+* float table (``save_table``; the score CSV, the DET curves and
+  ``size_sweep.csv``): a header row, then per row its id columns, if any, and
+  its floats; the score CSV, written and never read, has the header
+  ``utterance_id`` followed by the detector speaker ids and one row per trial,
 * JSON (``save_json``; ``mnorm.json``, ``report.json``, ``size_sweep.json``):
   indent 2, sorted keys, a final LF,
 * manifest, written and never read: ``key=value`` lines, one per manifest field.
@@ -260,15 +260,20 @@ def output_group():
     Every file is written to its temp file first; the targets are replaced
     only once the whole block has exited cleanly.  If the block raises, or a
     target is a directory, all temp files are removed and every target keeps
-    its old contents.
+    its old contents.  A nested group that exits cleanly joins the open one.
     """
     global _staged
+    outer = _staged
     _staged = staged = []
     try:
         yield
-        _replace_all(staged)
+        if outer is None:
+            _replace_all(staged)
+        else:
+            outer += staged
+            staged.clear()  # the open group now moves or removes them
     finally:
-        _staged = None
+        _staged = outer
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)  # only the ones not yet moved still exist
 
@@ -296,12 +301,22 @@ def _write_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
         f.write("".join([h + ",".join(map(float.__repr__, r)) + "\n" for h, r in zip(heads, rows)]))
 
 
-def save_table(path, header: Sequence[str] | None, ids: Sequence[Sequence[str]], values) -> None:
-    """Write a CSV table: the ``header`` line unless it is None, then one row per row of ``values``."""
+def save_table(path, header: Sequence[str] | None, ids: Sequence[Sequence[str]], blocks) -> None:
+    """Write a CSV table: the ``header`` line unless it is None, then the rows of each block.
+
+    Blocks are 2-D and written as they arrive, so a generator of them never holds the whole table.
+    """
     with open_output(path) as f:
         if header is not None:
             f.write(_csv_line(header)[:-2] + "\n")
-        _write_rows(f, ids, np.asarray(values, dtype=np.float64))
+        b = 0
+        for block in blocks:
+            values = np.asarray(block, dtype=np.float64)
+            if values.ndim != 2:
+                raise ValueError(f"table blocks must be 2-D arrays, got {values.ndim}-D")
+            a, b = b, b + len(values)
+            _write_rows(f, [c[a:b] for c in ids], values)
+            del block, values  # free it before a generator scores the next one
 
 
 def save_json(payload, path) -> None:
@@ -435,7 +450,7 @@ def _load_rows(path: Path, expected_dimension: int | None) -> EmbeddingSet:
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     spks = [UNLABELED if spk is None else spk for spk in embeddings.speaker_ids]
-    save_table(path, None, (embeddings.utterance_ids, spks), embeddings.vectors)
+    save_table(path, None, (embeddings.utterance_ids, spks), [embeddings.vectors])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -470,27 +485,6 @@ class ScoreMatrix:
 
     def __repr__(self) -> str:
         return f"ScoreMatrix(trials={self.n_trials}, detectors={self.n_detectors})"
-
-
-def save_scores(blocks: Iterable[ScoreMatrix], path) -> None:
-    """Write a score CSV from the consecutive trial blocks of one score table.
-
-    Blocks are written as they arrive, so a generator of blocks never needs
-    the whole table in memory; every block names the same detectors.  Values
-    are finite (enforced on construction).
-    """
-    with open_output(path) as f:
-        detector_ids = None
-        for block in blocks:
-            if detector_ids is None:
-                detector_ids = block.detector_ids
-                f.write(_csv_line(["utterance_id", *detector_ids])[:-2] + "\n")
-            elif block.detector_ids != detector_ids:
-                raise ValueError("score blocks name different detectors")
-            _write_rows(f, (block.trial_ids,), block.scores)
-            del block  # free it before a generator scores the next one
-        if detector_ids is None:
-            raise ValueError("no score blocks to write")
 
 
 @dataclass(frozen=True)

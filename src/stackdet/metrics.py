@@ -191,4 +191,4 @@ def det_points(report: DetectorReport, max_points: int) -> np.ndarray:
 
 def save_det_points(points: np.ndarray, path) -> None:
     """Write the ``det_points`` rows as a CSV table ``theta,p_fa,p_miss``."""
-    data.save_table(path, ("theta", "p_fa", "p_miss"), (), points)
+    data.save_table(path, ("theta", "p_fa", "p_miss"), (), [points])

@@ -289,5 +289,5 @@ def save_size_sweep(
     with data.output_group():
         header = ("blacklist_size", "top_s_eer", "top_1_eer")
         means = np.column_stack((result.top_s_eer, result.top_1_eer))
-        data.save_table(csv_path, header, ([str(k) for k in result.sizes],), means)
+        data.save_table(csv_path, header, ([str(k) for k in result.sizes],), [means])
         data.save_json(sidecar, json_path)

@@ -21,7 +21,7 @@ from stackdet.bank import (
     score_blocks,
     stack_scores,
 )
-from stackdet.data import EmbeddingSet, ScoreMatrix, concatenate
+from stackdet.data import EmbeddingSet, ScoreMatrix, concatenate, save_table
 from stackdet.metrics import stack_reduce
 
 
@@ -548,6 +548,8 @@ class TestStackScores:
                 apply_mnorm(score_all(bank, trials), tiny, "scale")
             with pytest.raises(ValueError, match="non-finite"):
                 stack_scores(bank, trials, [3], [tiny.for_mode("scale")])
+            with pytest.raises(ValueError, match="scores contain non-finite values"):
+                next(score_blocks(bank, trials, tiny.for_mode("scale")))
 
     def test_argument_checks(self):
         bank, trials, stats = kernel_case(5, 4, 2, 3, 10, [2, 3])
@@ -607,16 +609,30 @@ class TestSpanMemory:
             tracemalloc.stop()
         assert peak < trials.vectors.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_narrow_sizes_add_no_copy_of_the_block(self):
-        """Sizes below the bank width hold no float copy of their strided view."""
+    @pytest.mark.parametrize("consumer", ["stack_scores", "compute_mnorm_stats", "save_table"])
+    def test_narrow_sizes_add_no_copy_of_the_block(self, tmp_path, consumer):
+        """Each consumer of ``score_blocks`` holds one block at a time.
+
+        Sizes below the bank width hold no float copy of their strided view.
+        """
         rng = np.random.default_rng(19)
         n = 2 * _CHUNK + 1
-        trials = EmbeddingSet([f"t{i}" for i in range(n)], [None] * n, rng.standard_normal((n, 40)))
         speakers = [f"d{i}" for i in range(400)]
+        trials = EmbeddingSet(
+            [f"t{i}" for i in range(n)], [speakers[i % 400] for i in range(n)],
+            rng.standard_normal((n, 40)),
+        )
         bank = enroll(EmbeddingSet(speakers, speakers, rng.standard_normal((400, 40))))
         tracemalloc.start()
         try:
-            stack_scores(bank, trials, [100, 300, 400])
+            if consumer == "stack_scores":
+                stack_scores(bank, trials, [100, 300, 400])
+            elif consumer == "compute_mnorm_stats":
+                compute_mnorm_stats(bank, trials)
+            else:
+                header = ("utterance_id", *bank.speaker_ids)
+                blocks = score_blocks(bank, trials)
+                save_table(tmp_path / "s.csv", header, (trials.utterance_ids,), blocks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -630,17 +646,17 @@ class TestScoreBlocks:
     def test_blocks_concatenate_to_the_dense_matrix(self, n_trials, mode):
         bank, trials, (stats,) = kernel_case(13, 3, 2, 5, n_trials, [5])
         blocks = list(score_blocks(bank, trials, stats.for_mode(mode)))
-        assert [len(b.trial_ids) for b in blocks] == [
-            min(_CHUNK, n_trials - a) for a in range(0, n_trials, _CHUNK)
+        assert [b.shape for b in blocks] == [
+            (min(_CHUNK, n_trials - a), 5) for a in range(0, n_trials, _CHUNK)
         ]
+        assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
         dense = apply_mnorm(score_all(bank, trials), stats, mode)
-        assert sum((b.trial_ids for b in blocks), ()) == dense.trial_ids
-        assert np.concatenate([b.scores for b in blocks]).tobytes() == dense.scores.tobytes()
+        assert np.concatenate(blocks).tobytes() == dense.scores.tobytes()
 
     def test_no_trials_give_one_empty_block(self):
         bank, trials, _ = kernel_case(13, 3, 2, 5, 0, [5])
         (block,) = score_blocks(bank, trials)
-        assert block.scores.shape == (0, 5)
+        assert block.shape == (0, 5)
 
     def test_arguments_checked_before_the_first_block(self):
         bank, trials, _ = kernel_case(13, 3, 2, 5, 4, [5])

@@ -14,7 +14,7 @@ import pytest
 from stackdet import bank as bank_mod
 from stackdet import cli, data, synth
 from stackdet.bank import apply_mnorm, compute_mnorm_stats, enroll, score_all
-from stackdet.data import EmbeddingSet, save_embeddings, save_scores
+from stackdet.data import EmbeddingSet, save_embeddings, save_table
 from stackdet.metrics import stack_reduce, sweep_both
 from stackdet.synth import PartitionSpec, PopulationConfig, generate_population
 
@@ -180,7 +180,7 @@ class TestScore:
         expected = apply_mnorm(
             score_all(b, pop.test), compute_mnorm_stats(b, train_bl), "full"
         )
-        save_scores([expected], tmp_path / "expected.csv")
+        save_score_csv(expected, tmp_path / "expected.csv")
         assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_norm_mode_changes_scores(self, workspace, bank_dir, tmp_path):
@@ -196,13 +196,18 @@ class TestScore:
         assert cli.main(args + ["--out", str(tmp_path / "full.csv"), "--norm-mode", "full"]) == 0
         b = enroll(train_bl)
         raw = score_all(b, pop.test)
-        save_scores([raw], tmp_path / "raw_expected.csv")
+        save_score_csv(raw, tmp_path / "raw_expected.csv")
         full = apply_mnorm(raw, compute_mnorm_stats(b, train_bl))
-        save_scores([full], tmp_path / "full_expected.csv")
+        save_score_csv(full, tmp_path / "full_expected.csv")
         for name in ("raw", "full"):
             got = (tmp_path / f"{name}.csv").read_bytes()
             assert got == (tmp_path / f"{name}_expected.csv").read_bytes()
         assert (tmp_path / "raw.csv").read_bytes() != (tmp_path / "full.csv").read_bytes()
+
+
+def save_score_csv(matrix, path) -> None:
+    """Write the dense ``matrix`` as the score CSV ``score`` streams."""
+    save_table(path, ("utterance_id", *matrix.detector_ids), (matrix.trial_ids,), [matrix.scores])
 
 
 def reference_score_csv(matrix) -> bytes:

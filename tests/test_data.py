@@ -19,7 +19,7 @@ from stackdet.data import (
     load_embeddings,
     save_embeddings,
     save_manifest,
-    save_scores,
+    save_table,
     validate_partition,
 )
 from stackdet.synth import default_partition_specs, manifest_for
@@ -264,9 +264,10 @@ class TestEmbeddingRoundTrip:
 
 
 class TestScoreMatrix:
+    """The dense score record, and the score CSV ``save_table`` writes from it."""
+
     def test_single_cell_file_content(self, tmp_path):
-        m = ScoreMatrix(["utt1"], ["det_1"], [[0.5]])
-        save_scores([m], tmp_path / "s.csv")
+        save_table(tmp_path / "s.csv", ("utterance_id", "det_1"), (["utt1"],), [np.array([[0.5]])])
         text = (tmp_path / "s.csv").read_text(encoding="utf-8")
         assert text == "utterance_id,det_1\nutt1,0.5\n"
 
@@ -277,7 +278,7 @@ class TestScoreMatrix:
             [f"d{j}" for j in range(4)],
             rng.standard_normal((10, 4)),
         )
-        save_scores([m], tmp_path / "s.csv")
+        save_table(tmp_path / "s.csv", ("utterance_id", *m.detector_ids), (m.trial_ids,), [m.scores])
         with open(tmp_path / "s.csv", encoding="utf-8", newline="") as f:
             header, *rows = csv.reader(f)
         back = ScoreMatrix([r[0] for r in rows], header[1:], [[float(v) for v in r[1:]] for r in rows])
@@ -301,20 +302,19 @@ class TestScoreMatrix:
 
     def test_blocks_write_the_same_file_as_the_matrix(self, tmp_path):
         m = ScoreMatrix(["t1", "t2", "t3"], ["d1", "d2"], np.arange(6.0).reshape(3, 2) / 7)
-        blocks = (
-            ScoreMatrix(m.trial_ids[a:b], m.detector_ids, m.scores[a:b])
-            for a, b in ((0, 2), (2, 3), (3, 3))
-        )
-        save_scores([m], tmp_path / "whole.csv")
-        save_scores(blocks, tmp_path / "blocks.csv")
+        header, ids = ("utterance_id", *m.detector_ids), (m.trial_ids,)
+        # uneven blocks, an empty one included, from a generator
+        blocks = (m.scores[a:b] for a, b in ((0, 2), (2, 2), (2, 3), (3, 3)))
+        save_table(tmp_path / "whole.csv", header, ids, [m.scores])
+        save_table(tmp_path / "blocks.csv", header, ids, blocks)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
-    def test_blocks_must_name_the_same_detectors(self, tmp_path):
-        blocks = [ScoreMatrix(["t1"], ["d1"], [[0.5]]), ScoreMatrix(["t2"], ["d2"], [[0.5]])]
-        with pytest.raises(ValueError, match="different detectors"):
-            save_scores(blocks, tmp_path / "s.csv")
-        with pytest.raises(ValueError, match="no score blocks"):
-            save_scores([], tmp_path / "s.csv")
+    def test_a_block_that_is_not_2d_is_rejected(self, tmp_path):
+        scores = np.arange(6.0).reshape(3, 2)
+        # a bare table iterates as 1-D rows
+        for blocks in (scores, [scores, scores[0]], [np.float64(0.5)]):
+            with pytest.raises(ValueError, match="table blocks must be 2-D arrays"):
+                save_table(tmp_path / "s.csv", ("id", "a", "b"), (["t1", "t2", "t3"],), blocks)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -371,10 +371,9 @@ class TestRowWriter:
         )
         es = EmbeddingSet(utts, spks, vecs)
         dets = [f"d{j}," if j % 2 else f"d{j}" for j in range(dim)]
-        scores = ScoreMatrix(utts, dets, vecs)
         tmp = tmp_path_factory.mktemp("rows")
         save_embeddings(es, tmp / "e.csv")
-        save_scores([scores], tmp / "s.csv")
+        save_table(tmp / "s.csv", ["utterance_id", *dets], (utts,), [vecs])
 
         values = [[repr(float(x)) for x in row] for row in vecs]
         labels = [data.UNLABELED if s is None else s for s in spks]
@@ -413,7 +412,7 @@ class TestRowWriter:
         ).reshape(n_rows, dim)
         header = [f"c{j}" for j in range(n_ids + dim)]
         path = tmp_path_factory.mktemp("table") / "t.csv"
-        data.save_table(path, header, ids, vecs)
+        data.save_table(path, header, ids, [vecs])
 
         rows = [[*(c[r] for c in ids), *map(repr, map(float, vecs[r]))] for r in range(n_rows)]
         assert path.read_bytes() == reference_csv([header, *rows])
@@ -631,6 +630,36 @@ class TestOutputGroup:
         assert a.read_text(encoding="utf-8") == "old a"
         self.write(b, "alone")  # outside a group each file is replaced at once
         assert b.read_text(encoding="utf-8") == "alone"
+
+    def test_a_nested_group_joins_the_open_one(self, tmp_path):
+        paths = [tmp_path / f"{name}.json" for name in "abc"]
+
+        def write_nested():
+            data.save_json("a", paths[0])
+            with data.output_group():  # as save_bank and save_size_sweep open theirs
+                data.save_json("b", paths[1])
+            data.save_json("c", paths[2])
+
+        with pytest.raises(RuntimeError):
+            with data.output_group():
+                write_nested()
+                raise RuntimeError("late failure")
+        assert list(tmp_path.iterdir()) == []
+        with data.output_group():
+            write_nested()
+            assert not any(p.exists() for p in paths)
+        assert sorted(tmp_path.iterdir()) == paths
+
+    def test_a_failed_nested_group_leaves_none_of_its_files(self, tmp_path):
+        a, b, c = (tmp_path / f"{name}.txt" for name in "abc")
+        with data.output_group():
+            self.write(a, "a")
+            with pytest.raises(RuntimeError):
+                with data.output_group():
+                    self.write(b, "b")
+                    raise RuntimeError("inner failure")
+            self.write(c, "c")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "c.txt"]
 
     def test_a_directory_target_moves_nothing(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b"
