@@ -24,7 +24,12 @@ files written inside one ``output_group`` appear together.  Both read
 paths parse values bit-exactly: numpy's ``loadtxt``, which parses embedding
 values in blocks of lines, uses the same correctly rounded conversion as
 ``float()`` (CPython's ``PyOS_string_to_double``), and the csv row loop that
-handles the embedding files numpy declines calls ``float()`` itself.
+handles the embedding files numpy declines calls ``float()`` itself.  The
+blocks are parsed across the CPUs in the affinity mask, by this process and
+forked workers that fill one shared array, each block by the same call, so
+the values are bit-identical at any CPU count.  With one CPU, or without
+``os.fork`` or an affinity mask, every block is parsed serially in this
+process.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ import errno
 import itertools
 import json
 import math
+import mmap
 import os
+import pickle
+import signal
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -142,6 +150,8 @@ class EmbeddingSet:
             if idx.shape != (len(self),):
                 raise ValueError(f"boolean mask of length {idx.size} for {len(self)} rows")
             idx = np.flatnonzero(idx)
+        elif idx.size == 0:  # np.asarray([]) is float64, which numpy refuses as an index
+            idx = idx.astype(np.intp)
         return EmbeddingSet(
             [self.utterance_ids[i] for i in idx],
             [self.speaker_ids[i] for i in idx],
@@ -167,9 +177,16 @@ def concatenate(sets: Sequence[EmbeddingSet]) -> EmbeddingSet:
     )
 
 
-# Characters of text per parse block: whole lines, at least this many.  Block
-# sizes from 256 KiB to 4 MiB parse the benchmark trials equally fast.
-_BLOCK_CHARS = 1 << 20
+# Bytes per parse block: whole lines, at least this many.  Block sizes from
+# 256 KiB to 4 MiB parse the benchmark trials equally fast.
+_BLOCK_BYTES = 1 << 20
+
+# Processes that parse the blocks of one embedding file: this one and a
+# forked worker for each further CPU in the affinity mask.  Without a mask or
+# without fork, this process parses every block itself.
+_WORKERS = 1
+if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
 
 
 @contextmanager
@@ -333,9 +350,10 @@ def load_embeddings(path, expected_dimension: int | None = None) -> EmbeddingSet
     ``expected_dimension`` is given.  Format errors carry the 1-based row
     number of the offending line.
 
-    numpy's C reader parses the values in blocks of lines; a file it cannot
-    vouch for (csv quoting, CR line ends, any bad row) is parsed again by the
-    row loop, which also locates the error.
+    numpy's C reader parses the values in blocks of lines, spread over the
+    CPUs in the affinity mask; a file it cannot vouch for (csv quoting, CR
+    line ends, any bad row) is parsed again by the row loop, which also
+    locates the error.
     """
     path = Path(path)
     fast = _load_blocks(path, expected_dimension)
@@ -343,61 +361,161 @@ def load_embeddings(path, expected_dimension: int | None = None) -> EmbeddingSet
 
 
 def _load_blocks(path: Path, expected_dimension: int | None) -> EmbeddingSet | None:
-    """The set `_load_rows` returns for ``path``, or None where that is not certain."""
-    utts: list[str] = []
-    spks: list[str] = []
-    blocks: list[np.ndarray] = []
-    dim = expected_dimension
-    limit = csv.field_size_limit()
-    try:
-        with path.open("r", encoding="utf-8", newline="") as f:
-            while text := f.read(_BLOCK_CHARS):
-                if not text.endswith("\n"):
-                    text += f.readline()
-                # quoting, CR line ends and NUL are the csv module's business
-                if '"' in text or "\r" in text or "\0" in text:
-                    return None
-                lines = text.split("\n")
-                if not lines[-1]:
-                    lines.pop()
-                # csv.reader raises on a field longer than its limit
-                if max(map(len, lines)) > limit and any(
-                    len(v) > limit for line in lines for v in line.split(",")
-                ):
-                    return None
-                fields = [line.split(",", 2) for line in lines]
-                if min(map(len, fields)) < 3:
-                    return None
-                block_utts, block_spks, rests = zip(*fields)
-                # an empty value field would make loadtxt warn; the loop names it
-                if not (all(block_spks) and all(rests)):
-                    return None
-                try:
-                    block = np.loadtxt(
-                        rests, delimiter=",", dtype=np.float64, ndmin=2, comments=None
-                    )
-                except ValueError:
-                    return None
-                if dim is None:
-                    dim = block.shape[1]
-                if block.shape != (len(rests), dim):
-                    return None
-                utts.extend(block_utts)
-                spks.extend(block_spks)
-                blocks.append(block)
-    except UnicodeDecodeError:
-        return None
-    if not blocks:
+    """The set `_load_rows` returns for ``path``, or None where that is not certain.
+
+    One binary pass finds the blocks of whole lines and counts their lines;
+    then every block is parsed into its own rows of one preallocated array.
+    """
+    with path.open("rb") as f:
+        if not f.seekable():  # a pipe can be read once, by the row loop
+            return None
+        # the first line's commas give the dimension; a row that disagrees declines in its block
+        dim = f.readline().count(b",") - 1
+        f.seek(0)
+        spans = list(_line_spans(f))
+        if not spans or dim < 1 or expected_dimension not in (None, dim):
+            return None
+        ends = list(itertools.accumulate(lines for _, _, lines in spans))
+        try:  # shared, so that forked workers fill it; a malformed first line can ask for too much
+            buf = mmap.mmap(-1, ends[-1] * dim * 8)
+        except (OverflowError, OSError):
+            return None
+        values = np.frombuffer(buf, dtype=np.float64).reshape(ends[-1], dim)
+        jobs = [(offset, size, values[end - n:end]) for (offset, size, n), end in zip(spans, ends)]
+        ids = _parse_jobs(f, jobs)
+    if ids is None:
         return None
     try:
         # rejects empty and duplicate utterance ids and non-finite values
         return EmbeddingSet(
-            utts,
-            [None if s == UNLABELED else s for s in spks],
-            blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
+            [u for utts, _ in ids for u in utts],
+            [None if s == UNLABELED else s for _, spks in ids for s in spks],
+            values,
         )
     except ValueError:
         return None
+
+
+def _line_spans(f):
+    """Yield ``(offset, size, lines)`` of each block of whole lines of the binary file ``f``.
+
+    Every block but the last has at least ``_BLOCK_BYTES`` bytes; a last line without LF is a line.
+    """
+    offset = 0
+    while raw := f.read(_BLOCK_BYTES):
+        if not raw.endswith(b"\n"):
+            raw += f.readline()
+        yield offset, len(raw), raw.count(b"\n") + (not raw.endswith(b"\n"))
+        offset += len(raw)
+
+
+def _read_at(f, offset: int, size: int) -> bytes:
+    """``size`` bytes of the binary file ``f`` from ``offset``.
+
+    ``os.pread`` leaves alone the file offset that forked workers share;
+    without it (Windows, where nothing forks) the offset is moved instead.
+    """
+    if hasattr(os, "pread"):
+        return os.pread(f.fileno(), size, offset)
+    f.seek(offset)
+    return f.read(size)
+
+
+def _parse_jobs(f, jobs) -> list | None:
+    """Parse each ``(offset, size, out)`` block of the binary file ``f`` into its rows ``out``.
+
+    Returns each block's ``(utterance ids, speaker ids)`` in block order, or
+    None if any block declines.  Block ``i`` goes to worker ``i % W``: this
+    process is worker 0, and the others are forked, write into the shared
+    rows and send their ids back through a pipe.  The fork is safe although
+    BLAS may run threads: a worker only reads and parses its blocks, calls no
+    BLAS, and leaves through ``os._exit``.  No worker outlives this call.
+    """
+    workers = min(_WORKERS, len(jobs))
+
+    def parse(k):
+        ids = []
+        for offset, size, out in jobs[k::workers]:
+            got = _parse_block(_read_at(f, offset, size), out)
+            if got is None:
+                return None
+            ids.append(got)
+        return ids
+
+    children = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one parses the rest
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(parse(k), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)  # no cleanup of the parent's state
+            os.close(w)
+            children[k] = pid, open(r, "rb")
+        parts = []
+        for k in range(workers):
+            if k in children:
+                pid, pipe = children[k]
+                with pipe:
+                    payload = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[k]
+                part = pickle.loads(payload) if status == 0 else None
+            else:
+                part = parse(k)
+            if part is None:
+                return None
+            parts.append(part)
+    finally:
+        for pid, pipe in children.values():  # after a decline or an error; their blocks go unused
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [parts[i % workers][i // workers] for i in range(len(jobs))]
+
+
+def _parse_block(raw: bytes, out: np.ndarray) -> tuple[tuple[str, ...], ...] | None:
+    """Parse a block of whole lines into its rows ``out``; its utterance and speaker ids, or None."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # quoting, CR line ends and NUL are the csv module's business
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    # csv.reader raises on a field longer than its limit
+    limit = csv.field_size_limit()
+    if max(map(len, lines)) > limit and any(len(v) > limit for line in lines for v in line.split(",")):
+        return None
+    fields = [line.split(",", 2) for line in lines]
+    if min(map(len, fields)) < 3:
+        return None
+    utts, spks, rests = zip(*fields)
+    # an empty value field would make loadtxt warn; the loop names it
+    if not (all(spks) and all(rests)):
+        return None
+    try:
+        block = np.loadtxt(rests, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if block.shape != out.shape:
+        return None
+    out[...] = block
+    return utts, spks
 
 
 def _load_rows(path: Path, expected_dimension: int | None) -> EmbeddingSet:

@@ -2,14 +2,18 @@ import csv
 import errno
 import io
 import json
+import math
+import os
 import re
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackdet import bank as bank_mod
 from stackdet import cli, data, synth
@@ -1049,3 +1053,176 @@ class TestUsageErrors:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: bad size list")
+
+
+def _replace(rows, i, row):
+    return [*rows[:i], row, *rows[i + 1:]]
+
+
+def _refused(value: str) -> bool:
+    try:
+        return not math.isfinite(float(value))
+    except ValueError:
+        return True
+
+
+# Value fields that float() refuses or that are not finite.  Without a quote a
+# field is read as written, or a comma or line end inside it breaks its row.
+_BAD_VALUE = st.one_of(
+    st.sampled_from(["", " ", "zap", "1e", "0.5.5", "0\x005", "nan", "-inf", "1e999", "u" * 140_000]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='"'), max_size=12)
+    .filter(_refused),
+)
+
+# Row defects of an embedding CSV: (rows, i, draw) -> rows, where a row is a list of
+# fields.  Each makes any embedding file malformed, whichever row i is.
+_EMBEDDING_DEFECTS = {
+    "missing_value": lambda rows, i, draw: _replace(rows, i, rows[i][:-1]),
+    "extra_value": lambda rows, i, draw: _replace(rows, i, [*rows[i], "0.5"]),
+    "bad_value": lambda rows, i, draw: _replace(
+        rows, i, [*rows[i][:2], draw(_BAD_VALUE), *rows[i][3:]]
+    ),
+    "duplicate_id": lambda rows, i, draw: _replace(rows, i, [rows[i - 1][0], *rows[i][1:]]),
+    "empty_id": lambda rows, i, draw: _replace(rows, i, ["", *rows[i][1:]]),
+    "empty_speaker": lambda rows, i, draw: _replace(rows, i, [rows[i][0], "", *rows[i][2:]]),
+    "short_row": lambda rows, i, draw: _replace(rows, i, rows[i][:2]),
+    "blank_line": lambda rows, i, draw: [*rows[:i], [], *rows[i:]],
+    # the file ends inside a later row, after a whole field
+    "truncated": lambda rows, i, draw: [
+        *rows[: max(i, 1)],
+        rows[max(i, 1)][: draw(st.integers(1, len(rows[max(i, 1)]) - 1))],
+    ],
+}
+# Defects of the labels CSV, rows of utterance_id,truth for exactly the trials
+_LABEL_DEFECTS = {
+    "extra_field": lambda rows, i, draw: _replace(rows, i, [*rows[i], "x"]),
+    "missing_field": lambda rows, i, draw: _replace(rows, i, rows[i][:1]),
+    "duplicate_label": lambda rows, i, draw: [*rows[:i], rows[i], *rows[i:]],
+    "missing_label": lambda rows, i, draw: [*rows[:i], *rows[i + 1:]],
+    "unknown_truth": lambda rows, i, draw: _replace(rows, i, [rows[i][0], "nobody"]),
+    "blank_line": lambda rows, i, draw: [*rows[:i], [], *rows[i:]],
+}
+# Defects of the mnorm.json payload, a dict edited in place
+_MNORM_DEFECTS = {
+    "missing_key": lambda p, draw: p.pop(draw(st.sampled_from(sorted(p)))),
+    "wrong_type": lambda p, draw: p.update({draw(st.sampled_from(sorted(p))): "x"}),
+    "short_list": lambda p, draw: p.update({draw(st.sampled_from(["mu", "sigma"])): p["mu"][:-1]}),
+    "schema_version": lambda p, draw: p.update(schema_version=2),
+    "detector_ids": lambda p, draw: p.update(detector_ids=p["detector_ids"][::-1]),
+    "zero_sigma": lambda p, draw: p.update(sigma=[0, *p["sigma"][1:]]),
+}
+def _not_utf8(raw, draw):
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(st.sampled_from([b"\x80", b"\xfe", b"\xff"])) + raw[at:]
+
+
+# Byte defects of any input file: (raw, draw) -> raw, or None for no file
+_BYTE_DEFECTS = {
+    "not_utf8": _not_utf8,
+    "empty_file": lambda raw, draw: b"",
+    "missing_file": lambda raw, draw: None,
+}
+_EMBEDDING_FILES = ("train", "augment", "trials", "bank.csv")
+# the inputs each command reads, in the order it reads them
+_INPUTS = {
+    "enroll": ("train", "augment"),
+    "score": ("bank.csv", "mnorm.json", "trials"),
+    "eval": ("bank.csv", "mnorm.json", "trials", "labels"),
+}
+
+
+class TestFuzz:
+    """Malformed input files, drawn at random, end in one error line and leave nothing behind."""
+
+    @staticmethod
+    def defect(name, raw, draw):
+        """``raw`` with one defect drawn for the input ``name``; None for no file."""
+        kinds = list(_BYTE_DEFECTS)
+        if name == "mnorm.json":
+            kinds += [*_MNORM_DEFECTS, "truncated_json", "trailing_bytes", "deep_json", "not_an_object"]
+        else:
+            kinds += _EMBEDDING_DEFECTS if name in _EMBEDDING_FILES else _LABEL_DEFECTS
+        if name == "train":
+            kinds.append("unlabeled")
+        if name == "bank.csv":
+            kinds.append("not_unit_length")
+        if name == "trials":
+            kinds.append("narrower_than_the_bank")
+        kind = draw(st.sampled_from(kinds))
+        if kind in _BYTE_DEFECTS:
+            return _BYTE_DEFECTS[kind](raw, draw)
+        text = raw.decode("utf-8")
+        if kind == "truncated_json":  # a prefix that never closes the object
+            return text[: draw(st.integers(0, text.rindex("}")))].encode()
+        if kind == "trailing_bytes":  # anything but ASCII whitespace after the object
+            return raw + draw(st.binary(min_size=1, max_size=8).filter(bytes.strip))
+        if kind == "deep_json":
+            return ("[" * 100_000 + "]" * 100_000).encode()
+        if kind == "not_an_object":
+            return b"[]"
+        if kind in _MNORM_DEFECTS:
+            payload = json.loads(text)
+            _MNORM_DEFECTS[kind](payload, draw)
+            return json.dumps(payload).encode()
+        rows = [line.split(",") for line in text.split("\n")[:-1]]
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "unlabeled":
+            rows = _replace(rows, i, [rows[i][0], data.UNLABELED, *rows[i][2:]])
+        elif kind == "not_unit_length":
+            rows = _replace(rows, i, [*rows[i][:2], *(repr(2 * float(v)) for v in rows[i][2:])])
+        elif kind == "narrower_than_the_bank":
+            rows = [r[:-1] for r in rows]
+        else:
+            rows = (_EMBEDDING_DEFECTS if name in _EMBEDDING_FILES else _LABEL_DEFECTS)[kind](rows, i, draw)
+        return "".join(",".join(r) + "\n" for r in rows).encode()
+
+    @settings(deadline=None, max_examples=150)
+    @given(data_=st.data())
+    def test_malformed_input_is_one_clean_error(self, workspace, bank_dir, tmp_path_factory, data_):
+        draw = data_.draw
+        root, _, _ = workspace
+        command = draw(st.sampled_from(sorted(_INPUTS)))
+        target = draw(st.sampled_from(_INPUTS[command]))
+        case = tmp_path_factory.mktemp("fuzz")
+        (case / "bank").mkdir()
+        sources = {
+            "train": root / "train_blacklist.csv",
+            "augment": root / "dev_blacklist.csv",
+            "trials": root / "test_trials.csv",
+            "labels": root / "test_labels.csv",
+            "bank.csv": bank_dir / "bank.csv",
+            "mnorm.json": bank_dir / "mnorm.json",
+        }
+        paths = {name: case / name for name in sources}
+        paths.update({name: case / "bank" / name for name in ("bank.csv", "mnorm.json")})
+        for name in _INPUTS[command]:
+            raw = sources[name].read_bytes()
+            if name == target:
+                raw = self.defect(name, raw, draw)
+            if raw is not None:
+                paths[name].write_bytes(raw)
+        argv = {
+            "enroll": [
+                "enroll", "--train", paths["train"], "--augment", paths["augment"], "--out-dir", case / "out",
+            ],
+            "score": [
+                "score", "--bank", case / "bank", "--trials", paths["trials"], "--out", case / "scores.csv",
+            ],
+            "eval": [
+                "eval", "--bank", case / "bank", "--trials", paths["trials"],
+                "--labels", paths["labels"], "--out-dir", case / "out",
+            ],
+        }[command]
+        before = {p: p.read_bytes() if p.is_file() else None for p in case.rglob("*")}
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            # several parse blocks per file, parsed by this process alone or with forked workers
+            mp.setattr(data, "_BLOCK_BYTES", draw(st.sampled_from([1, 64, 1 << 20])))
+            mp.setattr(data, "_WORKERS", draw(st.sampled_from([1, 2, 3])))
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = cli.main([str(a) for a in argv])
+        assert (rc, out.getvalue()) == (1, ""), err.getvalue()
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), err.getvalue()
+        assert {p: p.read_bytes() if p.is_file() else None for p in case.rglob("*")} == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -1,6 +1,8 @@
 import csv
+import errno
 import io
 import math
+import os
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -96,9 +98,82 @@ class TestLoadEmbeddings:
         lines = [f"u{i},a,{i}.5,1.0\n" for i in range(6)]
         lines[3] = "u3,a,1.0\n"
         p = write(tmp_path / "e.csv", "".join(lines))
-        monkeypatch.setattr(data, "_BLOCK_CHARS", len("".join(lines[:3])))
+        monkeypatch.setattr(data, "_BLOCK_BYTES", len("".join(lines[:3])))
         with pytest.raises(DataFormatError, match="row 4: 1 values, expected 2"):
             load_embeddings(p)
+
+    def test_a_first_line_too_wide_to_preallocate_declines(self, tmp_path):
+        # 100,001 rows of 100,000 values would take 80 GB
+        n = 100_000
+        text = "u0,a," + ",".join(["0"] * n) + "\n" + "".join(f"u{i},a,0\n" for i in range(1, n + 1))
+        p = write(tmp_path / "e.csv", text)
+        assert data._load_blocks(p, None) is None
+        with pytest.raises(DataFormatError, match=f"row 2: 1 values, expected {n}$"):
+            load_embeddings(p)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
+    def test_no_worker_or_descriptor_outlives_a_load(self, tmp_path, monkeypatch):
+        lines = [f"u{i},a,{i}.5,1.0\n" for i in range(12)]
+        good = write(tmp_path / "good.csv", "".join(lines))
+        # numpy declines the last block, which a forked worker parses
+        bad = write(tmp_path / "bad.csv", "".join(lines[:-1]) + "u11,a,1_0,1.0\n")
+        monkeypatch.setattr(data, "_BLOCK_BYTES", len(lines[0]))
+        monkeypatch.setattr(data, "_WORKERS", 3)
+        fds = set(os.listdir("/proc/self/fd"))
+
+        def nothing_left():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert set(os.listdir("/proc/self/fd")) == fds
+
+        expected = data._load_rows(good, None)
+        assert data._load_blocks(good, None) == expected
+        nothing_left()
+        assert data._load_blocks(bad, None) is None
+        assert load_embeddings(bad).vectors[-1].tolist() == [10.0, 1.0]
+        nothing_left()
+
+        parent, parse = os.getpid(), data._parse_block
+
+        def fail_in_parent(raw, out):
+            if os.getpid() == parent:
+                raise RuntimeError("parent failed")
+            return parse(raw, out)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(data, "_parse_block", fail_in_parent)
+            with pytest.raises(RuntimeError, match="parent failed"):
+                load_embeddings(good)
+        nothing_left()
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "no process to spare")
+
+        with monkeypatch.context() as mp:  # this process parses every block itself
+            mp.setattr(os, "fork", no_fork)
+            assert data._load_blocks(good, None) == expected
+        nothing_left()
+
+    def test_without_fork_or_pread_blocks_are_parsed_serially(self, tmp_path, monkeypatch):
+        lines = [f"u{i},a,{i}.5,1.0\n" for i in range(6)]
+        p = write(tmp_path / "e.csv", "".join(lines))
+        monkeypatch.setattr(data, "_BLOCK_BYTES", len(lines[0]))
+        monkeypatch.setattr(data, "_WORKERS", 1)  # its value where os.fork is missing
+        monkeypatch.delattr(os, "pread")
+        assert data._load_blocks(p, None) == data._load_rows(p, None)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
+    @pytest.mark.parametrize("first", [b"u1", b'"u1"'], ids=["plain", "quoted"])
+    def test_a_pipe_loads(self, first):
+        # a pipe is read once: a quoted id must not leave the row loop an empty pipe
+        r, w = os.pipe()
+        os.write(w, first + b",a,1.0,2.0\nu2,-,0.5,0.25\n")
+        os.close(w)
+        try:
+            es = load_embeddings(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert es.utterance_ids == ("u1", "u2") and es.vectors.tolist() == [[1.0, 2.0], [0.5, 0.25]]
 
     def test_not_utf8_names_file_line_and_byte(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -205,18 +280,24 @@ class TestFastPathEqualsLoop:
         path = tmp_path_factory.mktemp("fast") / "e.csv"
         path.write_bytes(raw)
 
-        # end the first block one line before, at, or one line after the bad row
+        # end the first block one line before, at, or one line after the bad row, and
+        # its read one byte before, at, or after that line end (inside a multibyte id)
         cut = min(max(bad + draw(st.sampled_from([-1, 0, 1])), 1), len(lines))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "_BLOCK_CHARS", sum(len(line) + len(eol) for line in lines[:cut]))
-            fast = self.outcome(load_embeddings, path, expected)
-            if defects <= {"no_final_newline"}:
-                assert data._load_blocks(path, expected) is not None
+        block = len("".join(line + eol for line in lines[:cut]).encode("utf-8"))
+        block = max(block + draw(st.sampled_from([-1, 0, 1])), 1)
         loop = self.outcome(data._load_rows, path, expected)
-        assert type(fast) is type(loop)
-        assert fast == loop
-        if isinstance(loop, EmbeddingSet):
-            assert fast.vectors.view(np.uint64).tobytes() == loop.vectors.view(np.uint64).tobytes()
+        # this process alone, and with one or two forked workers
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_BLOCK_BYTES", block)
+                mp.setattr(data, "_WORKERS", workers)
+                fast = self.outcome(load_embeddings, path, expected)
+                if defects <= {"no_final_newline"}:
+                    assert data._load_blocks(path, expected) is not None
+            assert type(fast) is type(loop)
+            assert fast == loop
+            if isinstance(loop, EmbeddingSet):
+                assert fast.vectors.view(np.uint64).tobytes() == loop.vectors.view(np.uint64).tobytes()
 
 
 class TestEmbeddingRoundTrip:
@@ -583,6 +664,12 @@ def test_records_share_one_validation(name):
 
 
 class TestSubset:
+    @pytest.mark.parametrize("empty", [[], range(0), np.array([], dtype=np.int64)])
+    def test_no_indices_give_an_empty_set(self, empty):
+        es = EmbeddingSet(["a", "b"], ["s", None], np.eye(2))
+        none = es.subset(empty)
+        assert (len(none), none.dimension, none.utterance_ids) == (0, 2, ())
+
     @pytest.mark.parametrize("mask", [[True, False], [True] * 5])
     def test_boolean_mask_of_another_length_is_an_error(self, mask):
         es = EmbeddingSet(["a", "b", "c", "d"], ["s", None, "s", None], np.eye(4))
