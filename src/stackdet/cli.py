@@ -110,9 +110,8 @@ _MNORM_KEYS = {
 def _load_mnorm(b: bank_mod.DetectorBank, path: Path) -> bank_mod.MNormStats:
     """The stats in mnorm.json for bank ``b``; every defect is a DataFormatError naming the file."""
     try:
-        with path.open("r", encoding="utf-8") as f:
-            payload = json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = json.loads(data.decode(path.read_bytes(), path))
+    except json.JSONDecodeError as exc:
         raise data.DataFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from None
     except RecursionError:
         raise data.DataFormatError(f"{path}: JSON nested too deeply") from None
@@ -164,22 +163,15 @@ def _load_truth(path, b: bank_mod.DetectorBank, trials: data.EmbeddingSet) -> np
     """
     index = {spk: i for i, spk in enumerate(b.speaker_ids)} | {data.UNLABELED: -1}
     mapping: dict[str, int] = {}
-    with data.open_text(path) as f:
-        for rownum, rec in data.csv_records(f, path):
-            if len(rec) != 2:
-                raise data.DataFormatError(
-                    f"{path}: row {rownum}: expected utterance_id,truth"
-                )
-            utt, truth = rec
-            if utt in mapping:
-                raise data.DataFormatError(
-                    f"{path}: row {rownum}: duplicate label for {utt!r}"
-                )
-            if truth not in index:
-                raise ValueError(
-                    f"{path}: row {rownum}: truth speaker {truth!r} is not in the bank"
-                )
-            mapping[utt] = index[truth]
+    for rownum, rec in data.csv_rows(path):
+        if len(rec) != 2:
+            raise data.DataFormatError(f"{path}: row {rownum}: expected utterance_id,truth")
+        utt, truth = rec
+        if utt in mapping:
+            raise data.DataFormatError(f"{path}: row {rownum}: duplicate label for {utt!r}")
+        if truth not in index:
+            raise ValueError(f"{path}: row {rownum}: truth speaker {truth!r} is not in the bank")
+        mapping[utt] = index[truth]
     try:
         return np.array([mapping[utt] for utt in trials.utterance_ids], dtype=np.int64)
     except KeyError as exc:

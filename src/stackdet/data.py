@@ -19,17 +19,20 @@ writer turns a group of rows into Python floats with ``tolist()`` and formats
 each with ``float.__repr__``, which gives the same shortest round-trip text
 as ``repr(float(x))``; ids get exactly the quoting of ``csv.writer`` with CR
 LF line ends, so an id holding a CR reads back too, though rows end in LF.
-A written file appears under its name only once it is complete, and the
-files written inside one ``output_group`` appear together.  Both read
+Each file goes to a temp file that its ``output_group`` moves into place
+once all of the group's files are complete; a file written alone is a group
+of one.  Every CSV input is read in binary blocks of whole lines
+(``_line_blocks``), and a byte that is not UTF-8 is named by its line and
+offset from the block in memory (``decode``), so a pipe's is too.  Both read
 paths parse values bit-exactly: numpy's ``loadtxt``, which parses embedding
-values in blocks of lines, uses the same correctly rounded conversion as
-``float()`` (CPython's ``PyOS_string_to_double``), and the csv row loop that
-handles the embedding files numpy declines calls ``float()`` itself.  The
-blocks are parsed across the CPUs in the affinity mask, by this process and
-forked workers that fill one shared array, each block by the same call, so
-the values are bit-identical at any CPU count.  With one CPU, or without
-``os.fork`` or an affinity mask, every block is parsed serially in this
-process.
+values block by block, uses the same correctly rounded conversion as
+``float()`` (CPython's ``PyOS_string_to_double``), and the csv row loop
+(``csv_rows``) that handles the embedding files numpy declines calls
+``float()`` itself.  The blocks are parsed across the CPUs in the affinity
+mask, by this process and forked workers that fill one shared array, each
+block by the same call, so the values are bit-identical at any CPU count.
+With one CPU, or without ``os.fork`` or an affinity mask, every block is
+parsed serially in this process.
 """
 
 from __future__ import annotations
@@ -189,45 +192,58 @@ if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 
 
-@contextmanager
-def open_text(path):
-    """Open a UTF-8 file for ``csv.reader`` (no newline translation).
+def _line_blocks(f):
+    """Yield the binary file ``f`` in blocks of whole lines, all but the last of ``_BLOCK_BYTES`` or more.
 
-    A byte that is not UTF-8 ends in a DataFormatError naming the file, the
-    line and the byte offset, not in a bare UnicodeDecodeError.
+    A block ends at an LF or at the end of the file, so a CR LF is never split.
     """
-    path = Path(path)
+    while raw := f.read(_BLOCK_BYTES):
+        if not raw.endswith(b"\n"):
+            raw += f.readline()
+        yield raw
+
+
+def decode(raw: bytes, path, offset: int = 0, line: int = 1) -> str:
+    """``raw``, the bytes of ``path`` from byte ``offset`` and line ``line`` on, as UTF-8 text.
+
+    A byte that is not UTF-8 is a DataFormatError naming the file, the line and the byte offset.
+    """
     try:
-        with path.open("r", encoding="utf-8", newline="") as f:
-            yield f
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # exc.start counts from the start of a read chunk; find the file offset
-        raw = path.read_bytes()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        line = raw.count(b"\n", 0, exc.start) + 1
+        line += raw.count(b"\n", 0, exc.start)
         raise DataFormatError(
-            f"{path}: line {line}, byte {exc.start}: not valid UTF-8 ({exc.reason})"
+            f"{path}: line {line}, byte {offset + exc.start}: not valid UTF-8 ({exc.reason})"
         ) from None
 
 
-def csv_records(f, path):
-    """Yield ``(row number, record)`` for each csv record of the open file ``f``.
+def csv_rows(path):
+    """Yield ``(row number, record)`` for each csv record of the UTF-8 file ``path``, read once.
 
-    A csv.Error (a field longer than ``csv.field_size_limit()``, or a NUL byte
-    on Python 3.10) becomes a DataFormatError naming ``path`` and the row.
+    Lines break at LF, CR LF and lone CR, as in ``open(newline="")``, and are
+    decoded one by one, so every row before a bad byte is yielded before
+    ``decode`` names it.  A csv.Error (a field over ``csv.field_size_limit()``,
+    or a NUL byte on Python 3.10) becomes a DataFormatError naming the row.
     """
-    reader = csv.reader(f)
-    for rownum in itertools.count(1):
+
+    def lines(f):
+        offset, line = 0, 1  # of the block's first byte
+        for raw in _line_blocks(f):
+            try:
+                yield from map(bytes.decode, raw.splitlines(keepends=True))
+            except UnicodeDecodeError:
+                decode(raw, path, offset, line)  # names the block's first bad byte
+                raise
+            offset += len(raw)
+            line += raw.count(b"\n")
+
+    with open(path, "rb") as f:
+        rownum = 0
         try:
-            rec = next(reader)
-        except StopIteration:
-            return
+            for rownum, rec in enumerate(csv.reader(lines(f)), 1):
+                yield rownum, rec
         except csv.Error as exc:
-            raise DataFormatError(f"{path}: row {rownum}: {exc}") from None
-        yield rownum, rec
+            raise DataFormatError(f"{path}: row {rownum + 1}: {exc}") from None
 
 
 # (temp file, target) pairs of the open output_group(), None outside one
@@ -238,36 +254,21 @@ _staged: list[tuple[Path, Path]] | None = None
 def open_output(path):
     """Open ``path`` for writing UTF-8 text (no newline translation), all or nothing.
 
-    The text goes to a new temp file in the same directory, which replaces
-    ``path`` when the block exits cleanly (inside ``output_group``, when the
-    group does) and is removed when it raises.
+    The text goes to a new temp file in the same directory, staged in the
+    open ``output_group`` or, outside one, in a group of its own: it
+    replaces ``path`` when the group exits cleanly and is removed if not.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    # "x" rather than mkstemp: the file mode follows the umask like open("w")
-    try:
-        f = tmp.open("x", encoding="utf-8", newline="")
-    except OSError as exc:  # name the caller's path, not the temp file
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
+    with output_group():
+        # "x" rather than mkstemp: the file mode follows the umask like open("w")
+        try:
+            f = tmp.open("x", encoding="utf-8", newline="")
+        except OSError as exc:  # name the caller's path, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        _staged.append((tmp, path))
         with f:
             yield f
-        if _staged is None:
-            _replace_all([(tmp, path)])
-        else:
-            _staged.append((tmp, path))
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _replace_all(staged: list[tuple[Path, Path]]) -> None:
-    """Move each temp file onto its target; none moves if any target is a directory."""
-    for _, path in staged:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    for tmp, path in staged:
-        os.replace(tmp, path)
 
 
 @contextmanager
@@ -278,17 +279,21 @@ def output_group():
     only once the whole block has exited cleanly.  If the block raises, or a
     target is a directory, all temp files are removed and every target keeps
     its old contents.  A nested group that exits cleanly joins the open one.
+    This is the only code that replaces targets or removes temp files.
     """
     global _staged
     outer = _staged
     _staged = staged = []
     try:
         yield
-        if outer is None:
-            _replace_all(staged)
-        else:
+        if outer is not None:
             outer += staged
             staged.clear()  # the open group now moves or removes them
+        for _, path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in staged:
+            os.replace(tmp, path)
     finally:
         _staged = outer
         for tmp, _ in staged:
@@ -372,16 +377,18 @@ def _load_blocks(path: Path, expected_dimension: int | None) -> EmbeddingSet | N
         # the first line's commas give the dimension; a row that disagrees declines in its block
         dim = f.readline().count(b",") - 1
         f.seek(0)
-        spans = list(_line_spans(f))
+        # each block's size and lines; a last line without LF is a line
+        spans = [(len(raw), raw.count(b"\n") + (not raw.endswith(b"\n"))) for raw in _line_blocks(f)]
         if not spans or dim < 1 or expected_dimension not in (None, dim):
             return None
-        ends = list(itertools.accumulate(lines for _, _, lines in spans))
+        offsets = itertools.accumulate((size for size, _ in spans), initial=0)
+        ends = list(itertools.accumulate(lines for _, lines in spans))
         try:  # shared, so that forked workers fill it; a malformed first line can ask for too much
             buf = mmap.mmap(-1, ends[-1] * dim * 8)
         except (OverflowError, OSError):
             return None
         values = np.frombuffer(buf, dtype=np.float64).reshape(ends[-1], dim)
-        jobs = [(offset, size, values[end - n:end]) for (offset, size, n), end in zip(spans, ends)]
+        jobs = [(offset, size, values[end - n:end]) for offset, (size, n), end in zip(offsets, spans, ends)]
         ids = _parse_jobs(f, jobs)
     if ids is None:
         return None
@@ -525,42 +532,35 @@ def _load_rows(path: Path, expected_dimension: int | None) -> EmbeddingSet:
     rows: list[list[float]] = []
     dim = expected_dimension
     seen: dict[str, int] = {}
-    with open_text(path) as f:
-        for rownum, rec in csv_records(f, path):
-            if len(rec) < 3:
-                raise DataFormatError(
-                    f"{path}: row {rownum}: expected utterance_id,speaker_id,v1,..."
-                )
-            utt, spk, *vals = rec
-            if not utt:
-                raise DataFormatError(f"{path}: row {rownum}: empty utterance id")
-            if utt in seen:
-                raise DataFormatError(
-                    f"{path}: row {rownum}: duplicate utterance id {utt!r}"
-                    f" (first seen at row {seen[utt]})"
-                )
-            seen[utt] = rownum
-            if not spk:
-                raise DataFormatError(
-                    f"{path}: row {rownum}: empty speaker field (use '-' for unlabeled)"
-                )
-            if dim is None:
-                dim = len(vals)
-            elif len(vals) != dim:
-                raise DataFormatError(
-                    f"{path}: row {rownum}: {len(vals)} values, expected {dim}"
-                )
-            try:
-                vec = [float(v) for v in vals]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {rownum}: unparseable float value"
-                ) from None
-            if not all(math.isfinite(v) for v in vec):
-                raise DataFormatError(f"{path}: row {rownum}: non-finite value")
-            utts.append(utt)
-            spks.append(None if spk == UNLABELED else spk)
-            rows.append(vec)
+    for rownum, rec in csv_rows(path):
+        if len(rec) < 3:
+            raise DataFormatError(f"{path}: row {rownum}: expected utterance_id,speaker_id,v1,...")
+        utt, spk, *vals = rec
+        if not utt:
+            raise DataFormatError(f"{path}: row {rownum}: empty utterance id")
+        if utt in seen:
+            raise DataFormatError(
+                f"{path}: row {rownum}: duplicate utterance id {utt!r}"
+                f" (first seen at row {seen[utt]})"
+            )
+        seen[utt] = rownum
+        if not spk:
+            raise DataFormatError(
+                f"{path}: row {rownum}: empty speaker field (use '-' for unlabeled)"
+            )
+        if dim is None:
+            dim = len(vals)
+        elif len(vals) != dim:
+            raise DataFormatError(f"{path}: row {rownum}: {len(vals)} values, expected {dim}")
+        try:
+            vec = [float(v) for v in vals]
+        except ValueError:
+            raise DataFormatError(f"{path}: row {rownum}: unparseable float value") from None
+        if not all(math.isfinite(v) for v in vec):
+            raise DataFormatError(f"{path}: row {rownum}: non-finite value")
+        utts.append(utt)
+        spks.append(None if spk == UNLABELED else spk)
+        rows.append(vec)
     if not utts:
         raise DataFormatError(f"{path}: empty embedding file")
     return EmbeddingSet(utts, spks, np.array(rows, dtype=np.float64))

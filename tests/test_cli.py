@@ -622,11 +622,11 @@ def _with_bad_byte(src, dst, at=40):
 
 
 class TestNotUtf8:
-    def check(self, argv, bad, output, capsys, at=40):
+    def check(self, argv, bad, output, capsys, at=40, line=1):
         rc = cli.main(argv)
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith(f"error: {bad}: line 1, byte {at}: not valid UTF-8")
+        assert err.startswith(f"error: {bad}: line {line}, byte {at}: not valid UTF-8")
         assert "Traceback" not in err
         assert not output.exists()
 
@@ -665,6 +665,38 @@ class TestNotUtf8:
             "--out-dir", str(out),
         ]
         self.check(argv, bad, out, capsys, at=10)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
+    def test_piped_labels(self, workspace, bank_dir, tmp_path, capsys):
+        root, _, _ = workspace
+        # labels of utterances that are not trials go unused; these take the pipe past 8 KiB
+        good = (root / "test_labels.csv").read_bytes() + b"".join(b"x%d,-\n" % i for i in range(1500))
+        r, w = os.pipe()
+        os.write(w, good + b"\xff,-\n")
+        os.close(w)
+        out = tmp_path / "out"
+        argv = [
+            "eval",
+            "--bank", str(bank_dir),
+            "--trials", str(root / "test_trials.csv"),
+            "--labels", f"/dev/fd/{r}",
+            "--out-dir", str(out),
+        ]
+        try:
+            self.check(argv, f"/dev/fd/{r}", out, capsys, at=len(good), line=good.count(b"\n") + 1)
+        finally:
+            os.close(r)
+
+    def test_mnorm_json(self, workspace, bank_dir, tmp_path, capsys):
+        root, _, _ = workspace
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        (bank / "bank.csv").write_bytes((bank_dir / "bank.csv").read_bytes())
+        bad = _with_bad_byte(bank_dir / "mnorm.json", bank / "mnorm.json")
+        line = bad.read_bytes()[:40].count(b"\n") + 1
+        out = tmp_path / "scores.csv"
+        argv = ["score", "--bank", str(bank), "--trials", str(root / "test_trials.csv"), "--out", str(out)]
+        self.check(argv, bad, out, capsys, line=line)
 
 
 class TestOversizedField:

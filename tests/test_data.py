@@ -175,6 +175,23 @@ class TestLoadEmbeddings:
             os.close(r)
         assert es.utterance_ids == ("u1", "u2") and es.vectors.tolist() == [[1.0, 2.0], [0.5, 0.25]]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
+    def test_a_bad_byte_in_a_pipe_is_named_by_its_line_and_byte(self):
+        # past the first 8 KiB of the pipe, which is read once, so gone when the byte is found
+        good = b"".join(b"u%d,a,1.0,2.0\n" % i for i in range(1000))
+        r, w = os.pipe()
+        os.write(w, good + b"\xff,a,1.0,2.0\n")
+        os.close(w)
+        try:
+            with pytest.raises(DataFormatError) as info:
+                load_embeddings(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert len(good) > 8192
+        assert str(info.value) == (
+            f"/dev/fd/{r}: line 1001, byte {len(good)}: not valid UTF-8 (invalid start byte)"
+        )
+
     def test_not_utf8_names_file_line_and_byte(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_bytes(b"u1,a,1.0\nu2,a,2\xff.0\n")
@@ -509,6 +526,44 @@ class TestRowWriter:
             save_embeddings(EmbeddingSet(["u"], ["s"], [[1.0]]), p)
         assert p.read_text(encoding="utf-8") == "old\n"
         assert [q.name for q in tmp_path.iterdir()] == ["e.csv"]
+
+
+class TestCsvRows:
+    """csv_rows yields what csv.reader yields over the file opened in text mode."""
+
+    @staticmethod
+    def reference(path):
+        with open(path, encoding="utf-8", newline="") as f:
+            return list(enumerate(csv.reader(f), 1))
+
+    # block sizes that put block edges inside quoted fields, and one that holds the file
+    @settings(deadline=None, max_examples=150)
+    @given(
+        rows=st.lists(st.lists(_ID_TEXT, min_size=1, max_size=4), min_size=1, max_size=8),
+        eol=st.sampled_from(["\n", "\r\n", "\r"]),
+        final_eol=st.booleans(),
+        block=st.sampled_from([1, 64, 1 << 20]),
+    )
+    def test_equals_the_text_mode_reader(self, tmp_path_factory, rows, eol, final_eol, block):
+        lines = []
+        for row in rows:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(row)
+            lines.append(buf.getvalue()[:-2])
+        path = tmp_path_factory.mktemp("rows") / "r.csv"
+        path.write_bytes((eol.join(lines) + (eol if final_eol else "")).encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_BYTES", block)
+            assert list(data.csv_rows(path)) == self.reference(path)
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 20])
+    def test_a_short_row_before_a_bad_byte_is_reported_first(self, tmp_path, monkeypatch, block):
+        p = tmp_path / "e.csv"
+        p.write_bytes(b"u1,a,1.0\nu2,a\nu3,a,\xff\n")
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block)
+        with pytest.raises(DataFormatError) as info:
+            load_embeddings(p)
+        assert str(info.value) == f"{p}: row 2: expected utterance_id,speaker_id,v1,..."
 
 
 class TestManifest:
