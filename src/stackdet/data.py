@@ -193,14 +193,25 @@ if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
 
 
 def _line_blocks(f):
-    """Yield the binary file ``f`` in blocks of whole lines, all but the last of ``_BLOCK_BYTES`` or more.
+    """Yield the binary file ``f`` in blocks of whole lines, about one read of ``_BLOCK_BYTES`` each.
 
-    A block ends at an LF or at the end of the file, so a CR LF is never split.
+    A block runs from its read to the next LF or, if as many bytes again hold
+    none (lone-CR line ends, a long line), to the last LF or lone CR read;
+    never between a CR and its LF.  The last block runs to the end of the file.
     """
+    head = b""  # read past the last block's end
     while raw := f.read(_BLOCK_BYTES):
+        raw = head + raw
         if not raw.endswith(b"\n"):
-            raw += f.readline()
-        yield raw
+            raw += f.readline(len(raw))  # no further than doubling, so a long line takes linear time
+        end = raw.rfind(b"\n") + 1
+        # a CR that ends the read may be the first half of a CR LF
+        end = max(end, raw.rfind(b"\r", end, -1) + 1)
+        head = raw[end:]
+        if end:
+            yield raw[:end]
+    if head:
+        yield head
 
 
 def decode(raw: bytes, path, offset: int = 0, line: int = 1) -> str:
@@ -211,7 +222,7 @@ def decode(raw: bytes, path, offset: int = 0, line: int = 1) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line += raw.count(b"\n", 0, exc.start)
+        line += len(raw[: exc.start + 1].splitlines()) - 1  # the line ends before the bad byte
         raise DataFormatError(
             f"{path}: line {line}, byte {offset + exc.start}: not valid UTF-8 ({exc.reason})"
         ) from None
@@ -229,13 +240,13 @@ def csv_rows(path):
     def lines(f):
         offset, line = 0, 1  # of the block's first byte
         for raw in _line_blocks(f):
+            split = raw.splitlines(keepends=True)
             try:
-                yield from map(bytes.decode, raw.splitlines(keepends=True))
+                yield from map(bytes.decode, split)
             except UnicodeDecodeError:
                 decode(raw, path, offset, line)  # names the block's first bad byte
                 raise
-            offset += len(raw)
-            line += raw.count(b"\n")
+            offset, line = offset + len(raw), line + len(split)
 
     with open(path, "rb") as f:
         rownum = 0
@@ -374,8 +385,9 @@ def _load_blocks(path: Path, expected_dimension: int | None) -> EmbeddingSet | N
     with path.open("rb") as f:
         if not f.seekable():  # a pipe can be read once, by the row loop
             return None
-        # the first line's commas give the dimension; a row that disagrees declines in its block
-        dim = f.readline().count(b",") - 1
+        # the first line's commas give the dimension; a row that disagrees declines in its block,
+        # and so does a first line longer than one block
+        dim = f.readline(_BLOCK_BYTES).count(b",") - 1
         f.seek(0)
         # each block's size and lines; a last line without LF is a line
         spans = [(len(raw), raw.count(b"\n") + (not raw.endswith(b"\n"))) for raw in _line_blocks(f)]
@@ -401,19 +413,6 @@ def _load_blocks(path: Path, expected_dimension: int | None) -> EmbeddingSet | N
         )
     except ValueError:
         return None
-
-
-def _line_spans(f):
-    """Yield ``(offset, size, lines)`` of each block of whole lines of the binary file ``f``.
-
-    Every block but the last has at least ``_BLOCK_BYTES`` bytes; a last line without LF is a line.
-    """
-    offset = 0
-    while raw := f.read(_BLOCK_BYTES):
-        if not raw.endswith(b"\n"):
-            raw += f.readline()
-        yield offset, len(raw), raw.count(b"\n") + (not raw.endswith(b"\n"))
-        offset += len(raw)
 
 
 def _read_at(f, offset: int, size: int) -> bytes:

@@ -565,6 +565,28 @@ class TestCsvRows:
             load_embeddings(p)
         assert str(info.value) == f"{p}: row 2: expected utterance_id,speaker_id,v1,..."
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_blocks_are_whole_lines_of_at_most_two_reads(self, monkeypatch, eol):
+        line = b"u000,a,1.0" + eol
+        raw = b"".join(line.replace(b"000", b"%03d" % i) for i in range(200))
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 64)
+        blocks = list(data._line_blocks(io.BytesIO(raw)))
+        assert b"".join(blocks) == raw
+        assert all(b.endswith(eol) for b in blocks)  # a CR LF is never split
+        assert max(map(len, blocks)) < 2 * (64 + len(line))
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("block", [1, 64, 1 << 20])
+    def test_a_bad_byte_is_named_by_its_line_at_any_line_end(self, tmp_path, monkeypatch, eol, block):
+        raw = b"".join(b"u%d,a,1.0" % i + eol for i in range(20))
+        at = raw.index(b"u17,") + 1
+        p = tmp_path / "e.csv"
+        p.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block)
+        with pytest.raises(DataFormatError) as info:
+            list(data.csv_rows(p))
+        assert str(info.value) == f"{p}: line 18, byte {at}: not valid UTF-8 (invalid start byte)"
+
 
 class TestManifest:
     def test_written_lines(self, tmp_path):
