@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stackdet.data import UNLABELED, concatenate, save_embeddings, save_manifest
+from stackdet.data import UNLABELED, concatenate, open_output, save_embeddings, save_manifest
 from stackdet.synth import (
     PopulationConfig,
     default_partition_specs,
@@ -25,7 +25,7 @@ from stackdet.synth import (
 
 
 def write_labels(embeddings, path):
-    with Path(path).open("w", encoding="utf-8", newline="") as f:
+    with open_output(path) as f:
         for utt, spk in zip(embeddings.utterance_ids, embeddings.speaker_ids):
             f.write(f"{utt},{spk if spk is not None else UNLABELED}\n")
 

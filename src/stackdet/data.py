@@ -19,6 +19,11 @@ writer turns a group of rows into Python floats with ``tolist()`` and formats
 each with ``float.__repr__``, which gives the same shortest round-trip text
 as ``repr(float(x))``; ids get exactly the quoting of ``csv.writer`` with CR
 LF line ends, so an id holding a CR reads back too, though rows end in LF.
+A table block of at least ``_FORK_VALUES`` values is cut into one span of
+rows per CPU in the affinity mask: this process formats the first span
+into the file and forked workers the others into unlinked temp files,
+appended in order.  A row's text does not depend on its span, so the bytes
+are the same at any CPU count; smaller blocks are written serially.
 Each file goes to a temp file that its ``output_group`` moves into place
 once all of the group's files are complete; a file written alone is a group
 of one.  Every CSV input is read in binary blocks of whole lines
@@ -31,8 +36,9 @@ values block by block, uses the same correctly rounded conversion as
 ``float()`` itself.  The blocks are parsed across the CPUs in the affinity
 mask, by this process and forked workers that fill one shared array, each
 block by the same call, so the values are bit-identical at any CPU count.
-With one CPU, or without ``os.fork`` or an affinity mask, every block is
-parsed serially in this process.
+``_fork_map`` is the one place that forks, for reads and writes alike; a
+share whose fork or worker fails is done by this process.  With one CPU, or
+without ``os.fork`` or an affinity mask, all of it is done serially here.
 """
 
 from __future__ import annotations
@@ -45,8 +51,10 @@ import math
 import mmap
 import os
 import pickle
+import shutil
 import signal
-from contextlib import contextmanager
+import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -184,12 +192,64 @@ def concatenate(sets: Sequence[EmbeddingSet]) -> EmbeddingSet:
 # 256 KiB to 4 MiB parse the benchmark trials equally fast.
 _BLOCK_BYTES = 1 << 20
 
-# Processes that parse the blocks of one embedding file: this one and a
-# forked worker for each further CPU in the affinity mask.  Without a mask or
-# without fork, this process parses every block itself.
+# Processes that share the blocks of one embedding file or the rows of one
+# large table block: this one and a forked worker for each further CPU in the
+# affinity mask.  Without a mask or without fork, this process does it all.
 _WORKERS = 1
 if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
+
+
+def _fork_map(work, n: int) -> list:
+    """``[work(k) for k in range(n)]``, with ``work(0)`` run here and every other share in a forked worker.
+
+    A worker sends its result back pickled through a pipe and leaves through
+    ``os._exit``, so no cleanup of this process's state (an open output
+    group, buffered files) runs in it.  A share whose fork fails (no process
+    to spare) or whose worker does not exit cleanly is done by this process
+    instead, so the results do not depend on how many workers ran.  The fork
+    is safe although BLAS may run threads: ``work`` must call no BLAS.  No
+    worker outlives this call.
+    """
+    children = {}  # share -> (pid, read end of its pipe)
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one does the rest
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(work(k), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)  # no cleanup of the parent's state
+            os.close(w)
+            children[k] = pid, open(r, "rb")
+        results = []
+        for k in range(n):
+            if k in children:
+                pid, pipe = children[k]
+                with pipe:
+                    payload = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[k]
+                if status == 0:
+                    results.append(pickle.loads(payload))
+                    continue
+            results.append(work(k))
+        return results
+    finally:
+        for pid, pipe in children.values():  # after an error here; their shares go unused
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _line_blocks(f):
@@ -316,6 +376,12 @@ def output_group():
 # row per write, and 64 rows added 7 MB; one row per write was 2-9% slower.
 _ROW_GROUP = 16
 
+# Values in a table block from which its rows are formatted on every worker.
+# Two workers against one, over 11 alternating runs on a 2-CPU VM: 131,072
+# values took 80-87 ms against 122-152 ms (10 and 11 wins of 11); at 65,536
+# the fork, the copy-on-write faults and the copy cost about what they save.
+_FORK_VALUES = 1 << 17
+
 
 # Returns the CSV line instead of writing it.  Its "\r\n" line end makes csv
 # quote a field holding \r as well as \n on every Python version, so every id
@@ -323,7 +389,7 @@ _ROW_GROUP = 16
 _csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
 
 
-def _write_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
+def _format_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
     """Write one CSV line per row of ``values``: the id columns, if any, then the floats."""
     for a in range(0, len(values), _ROW_GROUP):
         b = a + _ROW_GROUP
@@ -332,6 +398,40 @@ def _write_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
         # without id columns a row has no head: csv would quote a lone empty field
         heads = [_csv_line((*i, ""))[:-2] for i in zip(*cols)] if cols else [""] * len(rows)
         f.write("".join([h + ",".join(map(float.__repr__, r)) + "\n" for h, r in zip(heads, rows)]))
+
+
+def _write_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
+    """``_format_rows`` of one table block into the output file ``f``, across the workers if it is large.
+
+    A block of at least ``_FORK_VALUES`` values is cut into one contiguous
+    span of rows per worker.  This process formats the first span straight
+    into ``f``; each other span goes to an unlinked temp file beside ``f``,
+    which is appended to ``f`` in span order.  A row's text does not depend
+    on the span it is in, so the bytes are the same at any worker count.
+    """
+    n = max(1, min(_WORKERS, len(values))) if values.size >= _FORK_VALUES else 1
+    cuts = [len(values) * k // n for k in range(n + 1)]
+    spans = [([c[a:b] for c in ids], values[a:b]) for a, b in zip(cuts, cuts[1:])]
+    with ExitStack() as stack:
+        # opened before the fork, so that this process reads what a worker wrote
+        outs = [f] + [
+            stack.enter_context(
+                tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=Path(f.name).parent)
+            )
+            for _ in spans[1:]
+        ]
+
+        def write(k):
+            if k:  # a span redone here after its worker failed starts afresh
+                outs[k].seek(0)
+                outs[k].truncate()
+            _format_rows(outs[k], *spans[k])
+            outs[k].flush()  # a worker leaves without flushing; f's text goes before the spans
+
+        _fork_map(write, n)
+        for out in outs[1:]:
+            out.seek(0)
+            shutil.copyfileobj(out.buffer, f.buffer)
 
 
 def save_table(path, header: Sequence[str] | None, ids: Sequence[Sequence[str]], blocks) -> None:
@@ -431,11 +531,9 @@ def _parse_jobs(f, jobs) -> list | None:
     """Parse each ``(offset, size, out)`` block of the binary file ``f`` into its rows ``out``.
 
     Returns each block's ``(utterance ids, speaker ids)`` in block order, or
-    None if any block declines.  Block ``i`` goes to worker ``i % W``: this
-    process is worker 0, and the others are forked, write into the shared
-    rows and send their ids back through a pipe.  The fork is safe although
-    BLAS may run threads: a worker only reads and parses its blocks, calls no
-    BLAS, and leaves through ``os._exit``.  No worker outlives this call.
+    None if any block declines.  Block ``i`` is share ``i % W`` of
+    ``_fork_map``: forked workers write into the shared rows and send back
+    only their ids.  A worker only reads and parses its blocks.
     """
     workers = min(_WORKERS, len(jobs))
 
@@ -448,46 +546,9 @@ def _parse_jobs(f, jobs) -> list | None:
             ids.append(got)
         return ids
 
-    children = {}  # worker -> (pid, read end of its pipe)
-    try:
-        for k in range(1, workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this one parses the rest
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    with open(w, "wb") as pipe:
-                        pickle.dump(parse(k), pipe)
-                    code = 0
-                finally:
-                    os._exit(code)  # no cleanup of the parent's state
-            os.close(w)
-            children[k] = pid, open(r, "rb")
-        parts = []
-        for k in range(workers):
-            if k in children:
-                pid, pipe = children[k]
-                with pipe:
-                    payload = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[k]
-                part = pickle.loads(payload) if status == 0 else None
-            else:
-                part = parse(k)
-            if part is None:
-                return None
-            parts.append(part)
-    finally:
-        for pid, pipe in children.values():  # after a decline or an error; their blocks go unused
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    parts = _fork_map(parse, workers)
+    if any(part is None for part in parts):
+        return None
     return [parts[i % workers][i // workers] for i in range(len(jobs))]
 
 

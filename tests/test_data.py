@@ -3,6 +3,7 @@ import errno
 import io
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -30,6 +31,22 @@ from stackdet.synth import default_partition_specs, manifest_for
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def assert_nothing_left(fds):
+    """No child of this process is left, and its open descriptors are ``fds``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir("/proc/self/fd")) == fds
+
+
+@contextmanager
+def forked_writes(workers):
+    """Every table block with a row per worker is formatted by ``workers`` processes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_WORKERS", workers)
+        mp.setattr(data, "_FORK_VALUES", 0)
+        yield mp
 
 
 class TestLoadEmbeddings:
@@ -122,9 +139,7 @@ class TestLoadEmbeddings:
         fds = set(os.listdir("/proc/self/fd"))
 
         def nothing_left():
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-            assert set(os.listdir("/proc/self/fd")) == fds
+            assert_nothing_left(fds)
 
         expected = data._load_rows(good, None)
         assert data._load_blocks(good, None) == expected
@@ -401,11 +416,13 @@ class TestScoreMatrix:
     def test_blocks_write_the_same_file_as_the_matrix(self, tmp_path):
         m = ScoreMatrix(["t1", "t2", "t3"], ["d1", "d2"], np.arange(6.0).reshape(3, 2) / 7)
         header, ids = ("utterance_id", *m.detector_ids), (m.trial_ids,)
-        # uneven blocks, an empty one included, from a generator
-        blocks = (m.scores[a:b] for a, b in ((0, 2), (2, 2), (2, 3), (3, 3)))
         save_table(tmp_path / "whole.csv", header, ids, [m.scores])
-        save_table(tmp_path / "blocks.csv", header, ids, blocks)
-        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        for workers in (1, 2, 3):
+            # uneven blocks, an empty one included, from a generator
+            blocks = (m.scores[a:b] for a, b in ((0, 2), (2, 2), (2, 3), (3, 3)))
+            with forked_writes(workers):
+                save_table(tmp_path / "blocks.csv", header, ids, blocks)
+            assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_a_block_that_is_not_2d_is_rejected(self, tmp_path):
         scores = np.arange(6.0).reshape(3, 2)
@@ -446,7 +463,7 @@ _EDGE_FLOATS = [
 
 
 class TestRowWriter:
-    """The one row writer equals csv.writer over ``repr(float(x))``, byte for byte."""
+    """The one row writer equals csv.writer over ``repr(float(x))``, byte for byte, at any worker count."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -470,26 +487,28 @@ class TestRowWriter:
         es = EmbeddingSet(utts, spks, vecs)
         dets = [f"d{j}," if j % 2 else f"d{j}" for j in range(dim)]
         tmp = tmp_path_factory.mktemp("rows")
-        save_embeddings(es, tmp / "e.csv")
-        save_table(tmp / "s.csv", ["utterance_id", *dets], (utts,), [vecs])
-
         values = [[repr(float(x)) for x in row] for row in vecs]
         labels = [data.UNLABELED if s is None else s for s in spks]
-        assert (tmp / "e.csv").read_bytes() == reference_csv(
-            [u, s, *row] for u, s, row in zip(utts, labels, values)
-        )
-        assert (tmp / "s.csv").read_bytes() == reference_csv(
-            [["utterance_id", *dets]] + [[u, *row] for u, row in zip(utts, values)]
-        )
         # Round trip.  An empty speaker field does not load and "-" loads as
         # None, so those speakers are made unlabeled first.
         rt = EmbeddingSet(
             utts, [None if s in (None, "", data.UNLABELED) else s for s in spks], vecs
         )
-        save_embeddings(rt, tmp / "rt.csv")
-        back = load_embeddings(tmp / "rt.csv")
-        assert back == rt
-        assert back.vectors.view(np.uint64).tobytes() == vecs.view(np.uint64).tobytes()
+        # this process alone, and with one or two forked workers
+        for workers in (1, 2, 3):
+            with forked_writes(workers):
+                save_embeddings(es, tmp / "e.csv")
+                save_table(tmp / "s.csv", ["utterance_id", *dets], (utts,), [vecs])
+                save_embeddings(rt, tmp / "rt.csv")
+            assert (tmp / "e.csv").read_bytes() == reference_csv(
+                [u, s, *row] for u, s, row in zip(utts, labels, values)
+            )
+            assert (tmp / "s.csv").read_bytes() == reference_csv(
+                [["utterance_id", *dets]] + [[u, *row] for u, row in zip(utts, values)]
+            )
+            back = load_embeddings(tmp / "rt.csv")
+            assert back == rt
+            assert back.vectors.view(np.uint64).tobytes() == vecs.view(np.uint64).tobytes()
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -509,11 +528,14 @@ class TestRowWriter:
             dtype=np.float64,
         ).reshape(n_rows, dim)
         header = [f"c{j}" for j in range(n_ids + dim)]
+        # the rows in one block or several, empty ones included
+        cuts = sorted(data_.draw(st.lists(st.integers(0, n_rows), max_size=3)))
         path = tmp_path_factory.mktemp("table") / "t.csv"
-        data.save_table(path, header, ids, [vecs])
-
         rows = [[*(c[r] for c in ids), *map(repr, map(float, vecs[r]))] for r in range(n_rows)]
-        assert path.read_bytes() == reference_csv([header, *rows])
+        for workers in (1, 2, 3):
+            with forked_writes(workers):
+                data.save_table(path, header, ids, np.split(vecs, cuts))
+            assert path.read_bytes() == reference_csv([header, *rows])
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         p = write(tmp_path / "e.csv", "old\n")
@@ -526,6 +548,69 @@ class TestRowWriter:
             save_embeddings(EmbeddingSet(["u"], ["s"], [[1.0]]), p)
         assert p.read_text(encoding="utf-8") == "old\n"
         assert [q.name for q in tmp_path.iterdir()] == ["e.csv"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
+    def test_no_worker_or_descriptor_outlives_a_write(self, tmp_path):
+        ids = [f'u{i},"\r' for i in range(7)]
+        values = np.arange(14.0).reshape(7, 2) / 3
+        rows = [[i, *map(repr, row)] for i, row in zip(ids, values.tolist())]
+        expected = reference_csv([["id", "a", "b"], *rows])
+        p = tmp_path / "t.csv"
+        fds = set(os.listdir("/proc/self/fd"))
+        parent, fork, fmt = os.getpid(), os.fork, data._format_rows
+
+        def save(blocks=(values,)):
+            p.write_bytes(b"old\n")
+            save_table(p, ("id", "a", "b"), (ids,), blocks)
+
+        def check(content):
+            assert p.read_bytes() == content
+            assert [q.name for q in tmp_path.iterdir()] == ["t.csv"]
+            assert_nothing_left(fds)
+
+        with forked_writes(3) as mp:
+            for spare in (0, 1):  # no process to spare at the first fork, or at the second
+
+                def some_fork():
+                    nonlocal forks
+                    forks += 1
+                    if forks > spare:
+                        raise BlockingIOError(errno.EAGAIN, "no process to spare")
+                    return fork()
+
+                forks = 0
+                mp.setattr(os, "fork", some_fork)
+                save()
+                check(expected)
+            mp.setattr(os, "fork", fork)
+
+            # a worker that fails part way has its span formatted here again, into the same bytes
+            def fail_in_worker(f, *args):
+                if os.getpid() != parent:
+                    f.write("part of a row,")
+                    f.flush()
+                    raise RuntimeError("worker failed")
+                fmt(f, *args)
+
+            mp.setattr(data, "_format_rows", fail_in_worker)
+            save()
+            check(expected)
+
+            # this process fails in the second block, with the workers of both running
+            calls = 0
+
+            def fail_here_later(*args):
+                nonlocal calls
+                if os.getpid() == parent:
+                    calls += 1
+                    if calls > 1:
+                        raise RuntimeError("parent failed")
+                fmt(*args)
+
+            mp.setattr(data, "_format_rows", fail_here_later)
+            with pytest.raises(RuntimeError, match="parent failed"):
+                save([values[:4], values[4:]])
+            check(b"old\n")
 
 
 class TestCsvRows:

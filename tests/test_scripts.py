@@ -1,9 +1,14 @@
 """The script under scripts/ runs end to end and writes the files it should."""
 
 import csv
+import errno
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from stackdet.data import (
     PARTITION_NAMES, UNLABELED, concatenate, load_embeddings, save_manifest,
@@ -44,3 +49,21 @@ def test_generate_data_writes_loadable_partitions(tmp_path):
                 for u, s in zip(trials.utterance_ids, trials.speaker_ids)
             ]
 
+
+
+def test_a_failed_label_write_keeps_the_old_file_and_no_partial_one(tmp_path):
+    spec = importlib.util.spec_from_file_location("generate_data", SCRIPTS / "generate_data.py")
+    generate_data = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate_data)
+
+    def speakers():
+        yield "s1"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    labels = tmp_path / "dev_labels.csv"
+    labels.write_text("old\n", encoding="utf-8")
+    with pytest.raises(OSError, match="No space left"):
+        embeddings = SimpleNamespace(utterance_ids=["u1", "u2"], speaker_ids=speakers())
+        generate_data.write_labels(embeddings, labels)
+    assert labels.read_text(encoding="utf-8") == "old\n"
+    assert list(tmp_path.iterdir()) == [labels]
