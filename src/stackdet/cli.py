@@ -10,7 +10,7 @@ prefix and a nonzero exit code.
 
 A bank directory holds ``bank.csv`` (one unit direction per detector) and
 ``mnorm.json`` (its cohort statistics).  ``load_bank`` returns the two
-apart, and ``_bank_and_trials`` resolves the statistics for ``--norm-mode``
+apart, and ``_bank_and_stats`` resolves the statistics for ``--norm-mode``
 through ``MNormStats.for_mode``.  ``mnorm.json`` and the labels are read here.
 """
 
@@ -156,7 +156,7 @@ def load_bank(bank_dir) -> tuple[bank_mod.DetectorBank, bank_mod.MNormStats | No
     return b, _load_mnorm(b, stats_path) if stats_path.exists() else None
 
 
-def _load_truth(path, b: bank_mod.DetectorBank, trials: data.EmbeddingSet) -> np.ndarray:
+def _load_truth(path, b: bank_mod.DetectorBank, trial_ids) -> np.ndarray:
     """Each trial's true detector index from label CSV rows ``utterance_id,truth``.
 
     ``-`` (index -1) marks background; labels of utterances that are not trials go unused.
@@ -173,21 +173,19 @@ def _load_truth(path, b: bank_mod.DetectorBank, trials: data.EmbeddingSet) -> np
             raise ValueError(f"{path}: row {rownum}: truth speaker {truth!r} is not in the bank")
         mapping[utt] = index[truth]
     try:
-        return np.array([mapping[utt] for utt in trials.utterance_ids], dtype=np.int64)
+        return np.array([mapping[utt] for utt in trial_ids], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"{path}: missing label for trial {exc.args[0]!r}") from None
 
 
-def _bank_and_trials(args):
-    """The bank, the stats that ``--norm-mode`` applies (None for none) and the trials."""
+def _bank_and_stats(args):
+    """The bank and the stats that ``--norm-mode`` applies (None for none)."""
     b, stats = load_bank(args.bank)
     if stats is None and args.norm_mode != "none":
         raise ValueError(
             f"normalization mode {args.norm_mode!r} needs {MNORM_FILE} in the bank directory"
         )
-    stats = None if stats is None else stats.for_mode(args.norm_mode)
-    trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
-    return b, stats, trials
+    return b, None if stats is None else stats.for_mode(args.norm_mode)
 
 
 def cmd_enroll(args) -> int:
@@ -205,7 +203,8 @@ def cmd_enroll(args) -> int:
 
 def cmd_score(args) -> int:
     _check_out_file(args.out)
-    b, stats, trials = _bank_and_trials(args)
+    b, stats = _bank_and_stats(args)
+    trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
     blocks = bank_mod.score_blocks(b, trials, stats)
     data.save_table(args.out, ("utterance_id", *b.speaker_ids), (trials.utterance_ids,), blocks)
     print(f"scored trials={len(trials)} detectors={len(b)}")
@@ -216,10 +215,25 @@ def cmd_eval(args) -> int:
     if args.det_points < 2:
         raise ValueError(f"--det-points must be at least 2, got {args.det_points}")
     _check_out_dir(args.out_dir, (REPORT_FILE, *DET_FILES))
-    b, stats, trials = _bank_and_trials(args)
-    truth = _load_truth(args.labels, b, trials)
-    (y_star,), (h_star,) = bank_mod.stack_scores(b, trials, [len(b)], [stats])
-    top_s, top_1 = metrics.sweep_both(y_star, h_star, truth)
+    b, stats = _bank_and_stats(args)
+    # each trial span is one score block, scored and dropped before the next round is parsed; a
+    # scoring error waits until every span is parsed and the labels are read, the order of a whole read
+    ids, y_star, h_star, failed = [], [], [], None
+    for span in data.embedding_spans(args.trials, b.dimension, bank_mod._CHUNK):
+        ids += span.utterance_ids
+        if failed is None:
+            try:
+                (y,), (h,) = bank_mod.stack_scores(b, span, [len(b)], [stats])
+            except ValueError as exc:
+                failed = exc
+            else:
+                y_star.append(y)
+                h_star.append(h)
+        del span
+    truth = _load_truth(args.labels, b, ids)
+    if failed is not None:
+        raise failed
+    top_s, top_1 = metrics.sweep_both(np.concatenate(y_star), np.concatenate(h_star), truth)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,7 +374,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the size it could not allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
     print(f"timing: {args.subcommand} took {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

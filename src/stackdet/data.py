@@ -28,14 +28,18 @@ Each file goes to a temp file that its ``output_group`` moves into place
 once all of the group's files are complete; a file written alone is a group
 of one.  Every CSV input is read in binary blocks of whole lines
 (``_line_blocks``), and a byte that is not UTF-8 is named by its line and
-offset from the block in memory (``decode``), so a pipe's is too.  Both read
-paths parse values bit-exactly: numpy's ``loadtxt``, which parses embedding
-values block by block, uses the same correctly rounded conversion as
-``float()`` (CPython's ``PyOS_string_to_double``), and the csv row loop
-(``csv_rows``) that handles the embedding files numpy declines calls
-``float()`` itself.  The blocks are parsed across the CPUs in the affinity
-mask, by this process and forked workers that fill one shared array, each
-block by the same call, so the values are bit-identical at any CPU count.
+offset from the block in memory (``decode``), so a pipe's is too.  One
+reader, ``embedding_spans``, yields an embedding CSV as sets of a fixed
+row count; ``load_embeddings`` is that reader with one span of the whole
+file.  Its scan cuts the blocks at span boundaries, so no block straddles
+two spans.  Both read paths parse values bit-exactly: numpy's ``loadtxt``,
+which parses embedding values block by block, uses the same correctly
+rounded conversion as ``float()`` (CPython's ``PyOS_string_to_double``),
+and the csv row loop (``csv_rows``) that handles the spans numpy declines
+calls ``float()`` itself.  The blocks of each round of spans are parsed
+across the CPUs in the affinity mask, by this process and forked workers
+that fill one shared array per span, each block by the same call, so the
+values are bit-identical at any CPU count.
 ``_fork_map`` is the one place that forks, for reads and writes alike; a
 share whose fork or worker fails is done by this process.  With one CPU, or
 without ``os.fork`` or an affinity mask, all of it is done serially here.
@@ -58,7 +62,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -460,59 +464,131 @@ def save_json(payload, path) -> None:
 
 
 def load_embeddings(path, expected_dimension: int | None = None) -> EmbeddingSet:
-    """Parse an embedding CSV.
+    """Parse an embedding CSV: ``embedding_spans`` with one span of the whole file."""
+    (whole,) = embedding_spans(path, expected_dimension)
+    return whole
+
+
+def embedding_spans(
+    path, expected_dimension: int | None = None, rows: int | None = None
+) -> Iterator[EmbeddingSet]:
+    """Yield the rows of an embedding CSV as sets of ``rows`` rows, counted from row 0; None is one set of all.
 
     The dimension is inferred from the first row unless
     ``expected_dimension`` is given.  Format errors carry the 1-based row
-    number of the offending line.
+    number of the offending line; the spans before it are yielded first.
 
-    numpy's C reader parses the values in blocks of lines, spread over the
-    CPUs in the affinity mask; a file it cannot vouch for (csv quoting, CR
-    line ends, any bad row) is parsed again by the row loop, which also
-    locates the error.
+    numpy's C reader parses the values in blocks of lines,
+    ``_SPANS_PER_ROUND`` spans per round spread over the CPUs in the
+    affinity mask; from the first round it cannot vouch for (csv quoting,
+    CR line ends, any bad row, an id of an earlier span) on, the row loop
+    yields the spans, and it also locates the error.  A caller that drops
+    each span before asking for the next holds one round at a time.
     """
     path = Path(path)
-    fast = _load_blocks(path, expected_dimension)
-    return fast if fast is not None else _load_rows(path, expected_dimension)
+    done = yield from _block_spans(path, expected_dimension, rows)
+    if done is not None:
+        yield from _load_rows(path, expected_dimension, rows, done)
 
 
-def _load_blocks(path: Path, expected_dimension: int | None) -> EmbeddingSet | None:
-    """The set `_load_rows` returns for ``path``, or None where that is not certain.
+# Spans parsed per fork round of ``embedding_spans``, at any CPU count: more
+# CPUs split a round's blocks, they do not hold more spans.  Full-shape
+# ``eval`` on 2 CPUs peaked at 130 MB with one span per round and 139 MB with
+# two (198 MB with the file read whole); in-process, its parse and scoring
+# took 3.3-3.6 s with one span per round and 2.8-3.2 s with two (3 runs each).
+_SPANS_PER_ROUND = 2
 
-    One binary pass finds the blocks of whole lines and counts their lines;
-    then every block is parsed into its own rows of one preallocated array.
+
+def _block_spans(path: Path, expected_dimension: int | None, rows: int | None):
+    """Yield the spans `_load_rows` yields for ``path`` while that is certain.
+
+    Returns None once every span is yielded, or the number yielded when the
+    rest is not certain.  One binary pass finds the blocks of whole lines,
+    cut at span boundaries; then each round's blocks are parsed into the rows
+    of their spans' preallocated arrays.
     """
     with path.open("rb") as f:
         if not f.seekable():  # a pipe can be read once, by the row loop
-            return None
+            return 0
         # the first line's commas give the dimension; a row that disagrees declines in its block,
         # and so does a first line longer than one block
         dim = f.readline(_BLOCK_BYTES).count(b",") - 1
         f.seek(0)
-        # each block's size and lines; a last line without LF is a line
-        spans = [(len(raw), raw.count(b"\n") + (not raw.endswith(b"\n"))) for raw in _line_blocks(f)]
+        spans = _span_blocks(f, rows)
         if not spans or dim < 1 or expected_dimension not in (None, dim):
-            return None
-        offsets = itertools.accumulate((size for size, _ in spans), initial=0)
-        ends = list(itertools.accumulate(lines for _, lines in spans))
-        try:  # shared, so that forked workers fill it; a malformed first line can ask for too much
-            buf = mmap.mmap(-1, ends[-1] * dim * 8)
-        except (OverflowError, OSError):
-            return None
-        values = np.frombuffer(buf, dtype=np.float64).reshape(ends[-1], dim)
-        jobs = [(offset, size, values[end - n:end]) for offset, (size, n), end in zip(offsets, spans, ends)]
-        ids = _parse_jobs(f, jobs)
+            return 0
+        seen: set[str] = set()  # ids of the spans parsed so far
+        for r in range(0, len(spans), _SPANS_PER_ROUND):
+            parsed = _parse_round(f, spans[r : r + _SPANS_PER_ROUND], dim, seen)
+            if parsed is None:
+                return r
+            while parsed:  # popped, so a span the caller drops is freed before the next round
+                yield parsed.pop(0)
+    return None
+
+
+def _span_blocks(f, rows: int | None) -> list[list[tuple[int, int, int]]]:
+    """The ``(offset, size, lines)`` blocks of whole lines of the binary file ``f``, per span of ``rows`` lines.
+
+    Blocks are those of ``_line_blocks``, each cut at the line end that ends
+    a span; a last line without LF is a line.  None makes one span.
+    """
+    spans: list[list[tuple[int, int, int]]] = []
+    offset = left = 0  # left: lines the open span still takes; none opens the next
+    for raw in _line_blocks(f):
+        lines, start = raw.count(b"\n") + (not raw.endswith(b"\n")), 0
+        while lines:
+            if not left:
+                spans.append([])
+                left = rows or math.inf
+            take, end = min(lines, left), len(raw)
+            if take < lines:
+                end = start
+                for _ in range(take):
+                    end = raw.index(b"\n", end) + 1
+            spans[-1].append((offset + start, end - start, take))
+            lines, left, start = lines - take, left - take, end
+        offset += len(raw)
+    return spans
+
+
+def _parse_round(f, spans, dim: int, seen: set[str]) -> list[EmbeddingSet] | None:
+    """Each span of blocks ``spans`` of the binary file ``f`` as an EmbeddingSet of ``dim`` values a row.
+
+    None if any block declines, any span fails a record check or any id is
+    in ``seen``, to which the ids of each span are added.
+    """
+    try:  # shared, so that forked workers fill them; a malformed first line can ask for too much
+        values = [
+            np.frombuffer(mmap.mmap(-1, sum(n for *_, n in blocks) * dim * 8), dtype=np.float64)
+            .reshape(-1, dim)
+            for blocks in spans
+        ]
+    except (OverflowError, OSError):
+        return None
+    jobs = []
+    for blocks, out in zip(spans, values):
+        ends = itertools.accumulate(n for *_, n in blocks)
+        jobs += [(offset, size, out[end - n : end]) for (offset, size, n), end in zip(blocks, ends)]
+    ids = _parse_jobs(f, jobs)
     if ids is None:
         return None
-    try:
-        # rejects empty and duplicate utterance ids and non-finite values
-        return EmbeddingSet(
-            [u for utts, _ in ids for u in utts],
-            [None if s == UNLABELED else s for _, spks in ids for s in spks],
-            values,
-        )
-    except ValueError:
-        return None
+    sets = []
+    for blocks, out in zip(spans, values):
+        span_ids, ids = ids[: len(blocks)], ids[len(blocks) :]
+        try:  # rejects empty and duplicate utterance ids and non-finite values
+            span = EmbeddingSet(
+                [u for utts, _ in span_ids for u in utts],
+                [None if s == UNLABELED else s for _, spks in span_ids for s in spks],
+                out,
+            )
+        except ValueError:
+            return None
+        if not seen.isdisjoint(span.utterance_ids):
+            return None
+        seen.update(span.utterance_ids)
+        sets.append(span)
+    return sets
 
 
 def _read_at(f, offset: int, size: int) -> bytes:
@@ -585,13 +661,25 @@ def _parse_block(raw: bytes, out: np.ndarray) -> tuple[tuple[str, ...], ...] | N
     return utts, spks
 
 
-def _load_rows(path: Path, expected_dimension: int | None) -> EmbeddingSet:
-    """Reference parse, one csv record at a time; raises at the first bad row."""
+def _load_rows(
+    path: Path, expected_dimension: int | None, rows: int | None = None, skip: int = 0
+) -> Iterator[EmbeddingSet]:
+    """Reference parse, one csv record at a time: the spans of ``embedding_spans`` from span ``skip`` on.
+
+    The rows of skipped spans are checked, not kept; raises at the first bad row.
+    """
     utts: list[str] = []
     spks: list[str | None] = []
-    rows: list[list[float]] = []
+    vecs: list[list[float]] = []
+
+    def span() -> EmbeddingSet:  # the lists are emptied, so no name holds the rows once it is yielded
+        out = EmbeddingSet(utts, spks, np.array(vecs, dtype=np.float64))
+        del utts[:], spks[:], vecs[:]
+        return out
+
     dim = expected_dimension
     seen: dict[str, int] = {}
+    first = skip * rows if skip else 0  # rows of the skipped spans
     for rownum, rec in csv_rows(path):
         if len(rec) < 3:
             raise DataFormatError(f"{path}: row {rownum}: expected utterance_id,speaker_id,v1,...")
@@ -618,12 +706,16 @@ def _load_rows(path: Path, expected_dimension: int | None) -> EmbeddingSet:
             raise DataFormatError(f"{path}: row {rownum}: unparseable float value") from None
         if not all(math.isfinite(v) for v in vec):
             raise DataFormatError(f"{path}: row {rownum}: non-finite value")
-        utts.append(utt)
-        spks.append(None if spk == UNLABELED else spk)
-        rows.append(vec)
-    if not utts:
+        if rownum > first:
+            utts.append(utt)
+            spks.append(None if spk == UNLABELED else spk)
+            vecs.append(vec)
+            if len(vecs) == rows:
+                yield span()
+    if not seen:
         raise DataFormatError(f"{path}: empty embedding file")
-    return EmbeddingSet(utts, spks, np.array(rows, dtype=np.float64))
+    if vecs:
+        yield span()
 
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:

@@ -130,8 +130,9 @@ def generate_population(
     if pool < 1:
         raise ValueError("at least one blacklist speaker is required")
     rng = np.random.default_rng(config.seed)
-    bl_ids = tuple(f"bl{i + 1:05d}" for i in range(pool))
+    # the means first: numpy refuses a pool too large to hold before any id is made
     bl_means = rng.normal(0.0, config.speaker_spread, (pool, config.dimension))
+    bl_ids = tuple(f"bl{i + 1:05d}" for i in range(pool))
 
     def bg_means(n: int) -> Iterator[np.ndarray]:
         for a in range(0, n, _CHUNK):
@@ -238,9 +239,10 @@ def run_size_sweep(
         raise ValueError("train_utts_per_speaker must be positive")
 
     train_spec = PartitionSpec(pool, 0, train_utts_per_speaker, 0)
-    seeds = tuple(derive_replicate_seed(config.seed, r) for r in range(replicates))
+    # numpy refuses a replicate count too large to hold before any seed is derived
     rep_s = np.empty((replicates, len(sizes)))
     rep_1 = np.empty((replicates, len(sizes)))
+    seeds = tuple(derive_replicate_seed(config.seed, r) for r in range(replicates))
 
     for r in range(replicates):
         y_star, h_star, truth = _replicate(

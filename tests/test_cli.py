@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -323,9 +324,29 @@ class TestEval:
             ]
         )
 
-    def test_report_matches_library_pipeline(self, workspace, bank_dir, tmp_path, capsys):
+    # a small chunk cuts the 38 trials into spans over several parse rounds
+    @pytest.mark.parametrize("chunk", [bank_mod._CHUNK, 4])
+    def test_report_matches_library_pipeline(self, workspace, bank_dir, tmp_path, monkeypatch, capsys, chunk):
         root, pop, train_bl = workspace
+        monkeypatch.setattr(bank_mod, "_CHUNK", chunk)
+        loaded, scored = [], []
+        load_embeddings, stack_scores = data.load_embeddings, bank_mod.stack_scores
+
+        def load_spy(path, *args, **kwargs):
+            loaded.append(Path(path))
+            return load_embeddings(path, *args, **kwargs)
+
+        def stack_spy(b, trials, *args, **kwargs):
+            scored.append(len(trials))
+            return stack_scores(b, trials, *args, **kwargs)
+
+        monkeypatch.setattr(data, "load_embeddings", load_spy)
+        monkeypatch.setattr(bank_mod, "stack_scores", stack_spy)
         assert self.run_eval(workspace, bank_dir, tmp_path / "out") == 0
+        # the trials are never read whole, and each span is one score block
+        assert loaded == [bank_dir / cli.BANK_FILE]
+        assert sum(scored) == len(pop.test) and max(scored) <= chunk
+        assert len(scored) == -(-len(pop.test) // chunk)
         assert re.fullmatch(r"timing: eval took \d+\.\d{3}s\n", capsys.readouterr().err)
         report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
         b = enroll(train_bl)
@@ -337,12 +358,35 @@ class TestEval:
         top_s, top_1 = sweep_both(*stack_reduce(matrix), truth)
         assert report["mode_reports"]["top_s"]["eer"] == top_s.eer
         assert report["mode_reports"]["top_1"]["eer"] == top_1.eer
+        assert report["mode_reports"]["top_1"]["eer_threshold"] == top_1.eer_threshold
         assert report["mode_reports"]["top_s"]["counts"] == [8, 30]
         assert report["schema_version"] == 1
         assert report["timing"] is None
         assert (tmp_path / "out" / "det_top_s.csv").read_text("utf-8").startswith(
             "theta,p_fa,p_miss\n"
         )
+
+    def test_a_scoring_error_waits_for_the_parse_and_the_labels(self, tmp_path, monkeypatch, capsys):
+        # spans of two trials: each is scored before the next round is parsed, yet the error
+        # is the one a whole read meets first: the trials, then the labels, then the scores
+        monkeypatch.setattr(bank_mod, "_CHUNK", 2)
+        b = bank_mod.DetectorBank(("d1", "d2"), [[1.0, 0.0], [0.0, 1.0]])
+        cli.save_bank(b, bank_mod.MNormStats(np.zeros(2), np.ones(2), 3), tmp_path / "bank")
+        rows = ["t0,-,0.0,0.0\n"] + [f"t{i},-,1.0,{i}.5\n" for i in range(1, 8)]  # a zero vector in span 0
+        labels = [f"t{i},-\n" for i in range(8)]
+        trials_csv, labels_csv, out = tmp_path / "trials.csv", tmp_path / "labels.csv", tmp_path / "out"
+        argv = ["eval", "--bank", str(tmp_path / "bank"), "--trials", str(trials_csv),
+                "--labels", str(labels_csv), "--out-dir", str(out)]
+        for trials, label_rows, message in [
+            (_replace(rows, 6, "t6,-,1.0\n"), labels, f"{trials_csv}: row 7: 1 values, expected 2"),
+            (rows, labels[:-1], f"{labels_csv}: missing label for trial 't7'"),
+            (rows, labels, "zero vector for utterance 't0'"),
+        ]:
+            trials_csv.write_text("".join(trials), encoding="utf-8")
+            labels_csv.write_text("".join(label_rows), encoding="utf-8")
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_byte_identical_across_runs_and_threads(
         self, workspace, bank_dir, tmp_path, child_env
@@ -959,6 +1003,43 @@ class TestOutOfMemory:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, shape",
+        [
+            (["--replicates", "1000000000000"], "(1000000000000, 6)"),
+            (["--sizes", "1000000000000", "--replicates", "1"], "(1000000000000, 600)"),
+        ],
+        ids=["replicates", "sizes"],
+    )
+    def test_huge_count_is_refused_at_once(self, tmp_path, child_env, flags, shape):
+        # under a 3 GiB address-space limit numpy refuses the count's array at once; a count
+        # first spent on seeds or ids would run past the timeout or end in a bare MemoryError
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        child = subprocess.run(
+            [sys.executable, "-m", "stackdet.cli", "simulate", "--out-dir", str(tmp_path / "out"), *flags],
+            env=child_env(1),
+            preexec_fn=limit,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout) == (1, "")
+        assert re.fullmatch(
+            rf"error: out of memory: Unable to allocate .* shape {re.escape(shape)} .*\n", child.stderr
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_memory_error_without_a_message_ends_the_line(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(synth, "run_size_sweep", exhausted)
+        assert cli.main(["simulate", "--out-dir", str(tmp_path / "out"), "--sizes", "3"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
 

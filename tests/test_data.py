@@ -3,8 +3,10 @@ import errno
 import io
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackdet import data
-from stackdet.bank import DetectorBank, MNormStats
+from stackdet.bank import _CHUNK, DetectorBank, MNormStats
 from stackdet.data import (
     DataFormatError,
     EmbeddingSet,
@@ -31,6 +33,22 @@ from stackdet.synth import default_partition_specs, manifest_for
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def row_loop(path, expected_dimension=None):
+    """The set the csv row loop alone reads from ``path``."""
+    (whole,) = data._load_rows(path, expected_dimension)
+    return whole
+
+
+def block_spans(path, expected_dimension=None, rows=None):
+    """The spans the block parser yields for ``path``, or None if it leaves any to the row loop."""
+    spans, parse = [], data._block_spans(Path(path), expected_dimension, rows)
+    try:
+        while True:
+            spans.append(next(parse))
+    except StopIteration as stop:
+        return spans if stop.value is None else None
 
 
 def assert_nothing_left(fds):
@@ -96,13 +114,12 @@ class TestLoadEmbeddings:
 
     def test_plain_file_takes_the_block_path(self, tmp_path):
         p = write(tmp_path / "e.csv", "u1,spk1,1.0,2.0\nu2,-,0.5,0.25\n")
-        fast = data._load_blocks(p, None)
-        assert fast is not None and fast == data._load_rows(p, None)
+        assert block_spans(p) == [row_loop(p)]
 
     def test_loop_parses_what_numpy_declines(self, tmp_path):
         # float() accepts digit underscores; numpy's reader does not
         p = write(tmp_path / "e.csv", "u1,a,1_0,2.0\nu2,a,0.5,3\n")
-        assert data._load_blocks(p, None) is None
+        assert block_spans(p) is None
         assert load_embeddings(p).vectors.tolist() == [[10.0, 2.0], [0.5, 3.0]]
 
     def test_crlf_and_quoted_files_load_like_plain(self, tmp_path):
@@ -124,7 +141,7 @@ class TestLoadEmbeddings:
         n = 100_000
         text = "u0,a," + ",".join(["0"] * n) + "\n" + "".join(f"u{i},a,0\n" for i in range(1, n + 1))
         p = write(tmp_path / "e.csv", text)
-        assert data._load_blocks(p, None) is None
+        assert block_spans(p) is None
         with pytest.raises(DataFormatError, match=f"row 2: 1 values, expected {n}$"):
             load_embeddings(p)
 
@@ -141,10 +158,10 @@ class TestLoadEmbeddings:
         def nothing_left():
             assert_nothing_left(fds)
 
-        expected = data._load_rows(good, None)
-        assert data._load_blocks(good, None) == expected
+        expected = row_loop(good)
+        assert block_spans(good) == [expected]
         nothing_left()
-        assert data._load_blocks(bad, None) is None
+        assert block_spans(bad) is None
         assert load_embeddings(bad).vectors[-1].tolist() == [10.0, 1.0]
         nothing_left()
 
@@ -166,7 +183,7 @@ class TestLoadEmbeddings:
 
         with monkeypatch.context() as mp:  # this process parses every block itself
             mp.setattr(os, "fork", no_fork)
-            assert data._load_blocks(good, None) == expected
+            assert block_spans(good) == [expected]
         nothing_left()
 
     def test_without_fork_or_pread_blocks_are_parsed_serially(self, tmp_path, monkeypatch):
@@ -175,7 +192,7 @@ class TestLoadEmbeddings:
         monkeypatch.setattr(data, "_BLOCK_BYTES", len(lines[0]))
         monkeypatch.setattr(data, "_WORKERS", 1)  # its value where os.fork is missing
         monkeypatch.delattr(os, "pread")
-        assert data._load_blocks(p, None) == data._load_rows(p, None)
+        assert block_spans(p) == [row_loop(p)]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
     @pytest.mark.parametrize("first", [b"u1", b'"u1"'], ids=["plain", "quoted"])
@@ -278,6 +295,27 @@ class TestFastPathEqualsLoop:
         except DataFormatError as exc:
             return str(exc)
 
+    @staticmethod
+    def spans(spans):
+        """The sets ``spans`` yields and the message of the error it ends in, if any."""
+        got = []
+        try:
+            for span in spans:
+                got.append(span)
+        except DataFormatError as exc:
+            return got, str(exc)
+        return got, None
+
+    @staticmethod
+    def assert_spans_equal_the_loop(got, loop, rows):
+        """``got`` equals the row loop's spans ``loop``: each of ``rows`` rows but the last, bit for bit."""
+        assert got == loop
+        sets, error = got
+        assert all(len(s) == rows for s in sets[:-1])
+        if sets and error is None:
+            whole = concatenate(sets).vectors.view(np.uint64)
+            assert whole.tobytes() == concatenate(loop[0]).vectors.view(np.uint64).tobytes()
+
     @pytest.mark.parametrize("defect", [None, *_DEFECTS])
     @settings(deadline=None, max_examples=25)
     @given(
@@ -317,19 +355,81 @@ class TestFastPathEqualsLoop:
         cut = min(max(bad + draw(st.sampled_from([-1, 0, 1])), 1), len(lines))
         block = len("".join(line + eol for line in lines[:cut]).encode("utf-8"))
         block = max(block + draw(st.sampled_from([-1, 0, 1])), 1)
-        loop = self.outcome(data._load_rows, path, expected)
+        loop = self.outcome(row_loop, path, expected)
+        # spans of one row, of a few, and of one score block; the defect may fall in a later span
+        rows = draw(st.sampled_from([1, 7, _CHUNK]))
+        loop_spans = self.spans(data._load_rows(path, expected, rows))
         # this process alone, and with one or two forked workers
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(data, "_BLOCK_BYTES", block)
                 mp.setattr(data, "_WORKERS", workers)
                 fast = self.outcome(load_embeddings, path, expected)
+                spans = self.spans(data.embedding_spans(path, expected, rows))
                 if defects <= {"no_final_newline"}:
-                    assert data._load_blocks(path, expected) is not None
+                    assert block_spans(path, expected) is not None
+                    assert block_spans(path, expected, rows) is not None
             assert type(fast) is type(loop)
             assert fast == loop
             if isinstance(loop, EmbeddingSet):
                 assert fast.vectors.view(np.uint64).tobytes() == loop.vectors.view(np.uint64).tobytes()
+                assert loop_spans[1] is None and concatenate(loop_spans[0]) == loop
+            else:
+                assert loop_spans[1] == loop
+            self.assert_spans_equal_the_loop(spans, loop_spans, rows)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 7, _CHUNK])
+    @pytest.mark.parametrize("case", ["late_decline", "split_duplicate", "empty_file", "pipe"])
+    def test_spans_equal_the_loop(self, tmp_path, monkeypatch, case, rows, workers):
+        n = 2 * rows + 3  # three spans, the last of three rows
+        lines = [f"u{i},s{i % 3},{i}.5,-{i}e-3\n" for i in range(n)]
+        if case == "late_decline":  # numpy declines the last row, float() reads it
+            lines[-1] = f"u{n - 1},s,1_0,2\n"
+        if case == "split_duplicate":  # the first row of span 2 repeats the first row of span 0
+            lines[2 * rows] = "u0" + lines[2 * rows][len(f"u{2 * rows}"):]
+        path = tmp_path / "e.csv"
+        path.write_text("" if case == "empty_file" else "".join(lines), encoding="utf-8")
+        loop = self.spans(data._load_rows(path, None, rows))
+        assert loop[1] == {
+            "late_decline": None,
+            "split_duplicate": f"{path}: row {2 * rows + 1}: duplicate utterance id 'u0' (first seen at row 1)",
+            "empty_file": f"{path}: empty embedding file",
+            "pipe": None,
+        }[case]
+        # the block parser yields every span before the round it cannot vouch for
+        per_round = data._SPANS_PER_ROUND
+        first_left = {
+            "late_decline": (n - 1) // rows // per_round * per_round,
+            "split_duplicate": 2 // per_round * per_round,
+            "empty_file": 0,
+            "pipe": 0,
+        }[case]
+        skips, load_rows = [], data._load_rows
+
+        def spy(path, expected_dimension, rows=None, skip=0):
+            skips.append(skip)
+            return load_rows(path, expected_dimension, rows, skip)
+
+        monkeypatch.setattr(data, "_load_rows", spy)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 256)
+        monkeypatch.setattr(data, "_WORKERS", workers)
+        fds = set(os.listdir("/proc/self/fd"))
+        if case == "pipe":
+            r, w = os.pipe()
+            writer = threading.Thread(target=lambda: (os.write(w, path.read_bytes()), os.close(w)))
+            writer.start()
+            try:
+                got = self.spans(data.embedding_spans(f"/dev/fd/{r}", None, rows))
+            finally:
+                writer.join()
+                os.close(r)
+        else:
+            got = self.spans(data.embedding_spans(path, None, rows))
+        self.assert_spans_equal_the_loop(got, loop, rows)
+        assert skips == [first_left]
+        assert_nothing_left(fds)
 
 
 class TestEmbeddingRoundTrip:
