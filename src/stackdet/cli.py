@@ -6,7 +6,9 @@ ignored, so existing command lines keep working.  Each command prints its
 wall-clock time to stderr, never into report files.  Output locations are
 checked before any input is read, and the files of one command appear
 together or not at all.  Errors are printed to stderr with an ``error:``
-prefix and a nonzero exit code.
+prefix and a nonzero exit code; SIGINT and SIGTERM end a command with
+``error: interrupted`` and exit status 128 + the signal number, its temp
+files removed.
 
 A bank directory holds ``bank.csv`` (one unit direction per detector) and
 ``mnorm.json`` (its cohort statistics).  ``load_bank`` returns the two
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -53,6 +57,15 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _not_replaceable(path: Path) -> str | None:
+    """Why an output file cannot replace ``path``: it exists and is not a regular file (or a link to one)."""
+    if path.is_dir():
+        return "is a directory"
+    if path.exists() and not path.is_file():  # a FIFO, a device or a socket
+        return "is not a regular file"
+    return None
+
+
 def _check_out_dir(path, names) -> None:
     """Fail before any work when ``--out-dir`` cannot become a directory holding ``names``."""
     path = Path(path)
@@ -60,15 +73,15 @@ def _check_out_dir(path, names) -> None:
     if not base.is_dir():
         raise ValueError(f"--out-dir {path}: {base} is not a directory")
     for name in names:
-        if (path / name).is_dir():
-            raise ValueError(f"--out-dir {path}: {path / name} is a directory")
+        if why := _not_replaceable(path / name):
+            raise ValueError(f"--out-dir {path}: {path / name} {why}")
 
 
 def _check_out_file(path) -> None:
     """Fail before any work when ``--out`` cannot be written."""
     path = Path(path)
-    if path.is_dir():
-        raise ValueError(f"--out {path}: is a directory")
+    if why := _not_replaceable(path):
+        raise ValueError(f"--out {path}: {why}")
     if not path.parent.is_dir():
         raise ValueError(f"--out {path}: {path.parent} is not an existing directory")
 
@@ -163,15 +176,16 @@ def _load_truth(path, b: bank_mod.DetectorBank, trial_ids) -> np.ndarray:
     """
     index = {spk: i for i, spk in enumerate(b.speaker_ids)} | {data.UNLABELED: -1}
     mapping: dict[str, int] = {}
-    for rownum, rec in data.csv_rows(path):
-        if len(rec) != 2:
-            raise data.DataFormatError(f"{path}: row {rownum}: expected utterance_id,truth")
-        utt, truth = rec
-        if utt in mapping:
-            raise data.DataFormatError(f"{path}: row {rownum}: duplicate label for {utt!r}")
-        if truth not in index:
-            raise ValueError(f"{path}: row {rownum}: truth speaker {truth!r} is not in the bank")
-        mapping[utt] = index[truth]
+    with open(path, "rb") as f:
+        for rownum, rec in data.csv_rows(path, data.line_blocks(f)):
+            if len(rec) != 2:
+                raise data.DataFormatError(f"{path}: row {rownum}: expected utterance_id,truth")
+            utt, truth = rec
+            if utt in mapping:
+                raise data.DataFormatError(f"{path}: row {rownum}: duplicate label for {utt!r}")
+            if truth not in index:
+                raise ValueError(f"{path}: row {rownum}: truth speaker {truth!r} is not in the bank")
+            mapping[utt] = index[truth]
     try:
         return np.array([mapping[utt] for utt in trial_ids], dtype=np.int64)
     except KeyError as exc:
@@ -365,9 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Interrupted(BaseException):
+    """SIGINT or SIGTERM arrived; unwinds like KeyboardInterrupt, so every temp file is removed."""
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted(signum)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    # only the main thread may set handlers, and Python runs them only there
+    signals = (signal.SIGINT, signal.SIGTERM) if threading.current_thread() is threading.main_thread() else ()
+    previous = {s: signal.signal(s, _interrupt) for s in signals}
     try:
         code = args.func(args)
     except (OSError, ValueError) as exc:
@@ -376,6 +401,12 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's message names the size it could not allocate
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
+    except _Interrupted as exc:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + exc.args[0]
+    finally:
+        for s, handler in previous.items():
+            signal.signal(s, handler)
     print(f"timing: {args.subcommand} took {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 

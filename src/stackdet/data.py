@@ -25,21 +25,23 @@ into the file and forked workers the others into unlinked temp files,
 appended in order.  A row's text does not depend on its span, so the bytes
 are the same at any CPU count; smaller blocks are written serially.
 Each file goes to a temp file that its ``output_group`` moves into place
-once all of the group's files are complete; a file written alone is a group
-of one.  Every CSV input is read in binary blocks of whole lines
-(``_line_blocks``), and a byte that is not UTF-8 is named by its line and
-offset from the block in memory (``decode``), so a pipe's is too.  One
-reader, ``embedding_spans``, yields an embedding CSV as sets of a fixed
-row count; ``load_embeddings`` is that reader with one span of the whole
-file.  Its scan cuts the blocks at span boundaries, so no block straddles
-two spans.  Both read paths parse values bit-exactly: numpy's ``loadtxt``,
+once all of the group's files are complete, beside the file a symbolic
+link names, so the link is kept; a file written alone is a group of one.
+Every CSV input, a file or a pipe, is read in one pass, in binary blocks
+of whole lines (``line_blocks``) that drop a UTF-8 BOM at byte 0, and a
+byte that is not UTF-8 is named by its line and file offset from the block
+in memory (``decode``).  One reader, ``embedding_spans``, yields an embedding CSV as
+sets of a fixed row count; ``load_embeddings`` is that reader with one span
+of the whole file.  It cuts the blocks at span boundaries as they arrive,
+so no block straddles two spans, and parses each round of spans once it is
+complete.  Both read paths parse values bit-exactly: numpy's ``loadtxt``,
 which parses embedding values block by block, uses the same correctly
 rounded conversion as ``float()`` (CPython's ``PyOS_string_to_double``),
-and the csv row loop (``csv_rows``) that handles the spans numpy declines
-calls ``float()`` itself.  The blocks of each round of spans are parsed
-across the CPUs in the affinity mask, by this process and forked workers
-that fill one shared array per span, each block by the same call, so the
-values are bit-identical at any CPU count.
+and the csv row loop (``csv_rows``) that reads on from the first round
+numpy declines calls ``float()`` itself.  The blocks of each round are
+parsed across the CPUs in the affinity mask, by this process and forked
+workers that fill one shared array per span, each block by the same call,
+so the values are bit-identical at any CPU count.
 ``_fork_map`` is the one place that forks, for reads and writes alike; a
 share whose fork or worker fails is done by this process.  With one CPU, or
 without ``os.fork`` or an affinity mask, all of it is done serially here.
@@ -47,6 +49,7 @@ without ``os.fork`` or an affinity mask, all of it is done serially here.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import errno
 import itertools
@@ -256,26 +259,32 @@ def _fork_map(work, n: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _line_blocks(f):
-    """Yield the binary file ``f`` in blocks of whole lines, about one read of ``_BLOCK_BYTES`` each.
+def line_blocks(f):
+    """Yield ``(offset, block)`` for the binary file ``f`` in blocks of whole lines of about ``_BLOCK_BYTES``.
 
-    A block runs from its read to the next LF or, if as many bytes again hold
-    none (lone-CR line ends, a long line), to the last LF or lone CR read;
-    never between a CR and its LF.  The last block runs to the end of the file.
+    ``offset`` is the block's first byte in the file.  A UTF-8 BOM at byte 0
+    is dropped, as by the ``utf-8-sig`` codec.  A block runs from its read to
+    the next LF or, if as many bytes again hold none (lone-CR line ends, a
+    long line), to the last LF or lone CR read; never between a CR and its
+    LF.  The last block runs to the end of the file.
     """
+    offset = 0  # of the next block's first byte
     head = b""  # read past the last block's end
     while raw := f.read(_BLOCK_BYTES):
         raw = head + raw
         if not raw.endswith(b"\n"):
             raw += f.readline(len(raw))  # no further than doubling, so a long line takes linear time
+        if not offset and raw.startswith(codecs.BOM_UTF8):  # whole: a BOM holds no line end
+            raw, offset = raw[len(codecs.BOM_UTF8) :], len(codecs.BOM_UTF8)
         end = raw.rfind(b"\n") + 1
         # a CR that ends the read may be the first half of a CR LF
         end = max(end, raw.rfind(b"\r", end, -1) + 1)
         head = raw[end:]
         if end:
-            yield raw[:end]
+            yield offset, raw[:end]
+            offset += end
     if head:
-        yield head
+        yield offset, head
 
 
 def decode(raw: bytes, path, offset: int = 0, line: int = 1) -> str:
@@ -292,33 +301,33 @@ def decode(raw: bytes, path, offset: int = 0, line: int = 1) -> str:
         ) from None
 
 
-def csv_rows(path):
-    """Yield ``(row number, record)`` for each csv record of the UTF-8 file ``path``, read once.
+def csv_rows(path, blocks, line: int = 1):
+    """Yield ``(row number, record)`` for each csv record of the UTF-8 file ``path`` in ``blocks``.
 
-    Lines break at LF, CR LF and lone CR, as in ``open(newline="")``, and are
-    decoded one by one, so every row before a bad byte is yielded before
-    ``decode`` names it.  A csv.Error (a field over ``csv.field_size_limit()``,
-    or a NUL byte on Python 3.10) becomes a DataFormatError naming the row.
+    ``blocks`` are ``(offset, block)`` pairs as ``line_blocks`` yields them,
+    from line ``line`` on, which numbers the first row too.  Lines break at
+    LF, CR LF and lone CR, as in ``open(newline="")``, and are decoded one
+    by one, so every row before a bad byte is yielded before ``decode`` names
+    it.  A csv.Error (a field over ``csv.field_size_limit()``, or a NUL byte
+    on Python 3.10) becomes a DataFormatError naming the row.
     """
 
-    def lines(f):
-        offset, line = 0, 1  # of the block's first byte
-        for raw in _line_blocks(f):
+    def lines(line):
+        for offset, raw in blocks:
             split = raw.splitlines(keepends=True)
             try:
                 yield from map(bytes.decode, split)
             except UnicodeDecodeError:
                 decode(raw, path, offset, line)  # names the block's first bad byte
                 raise
-            offset, line = offset + len(raw), line + len(split)
+            line += len(split)
 
-    with open(path, "rb") as f:
-        rownum = 0
-        try:
-            for rownum, rec in enumerate(csv.reader(lines(f)), 1):
-                yield rownum, rec
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: row {rownum + 1}: {exc}") from None
+    rownum = line - 1
+    try:
+        for rownum, rec in enumerate(csv.reader(lines(line)), line):
+            yield rownum, rec
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: row {rownum + 1}: {exc}") from None
 
 
 # (temp file, target) pairs of the open output_group(), None outside one
@@ -332,16 +341,18 @@ def open_output(path):
     The text goes to a new temp file in the same directory, staged in the
     open ``output_group`` or, outside one, in a group of its own: it
     replaces ``path`` when the group exits cleanly and is removed if not.
+    A symbolic link is kept: the file it names is staged beside and replaced.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    real = Path(os.path.realpath(path)) if path.is_symlink() else path
+    tmp = real.with_name(f".{real.name}.{os.urandom(4).hex()}.tmp")
     with output_group():
         # "x" rather than mkstemp: the file mode follows the umask like open("w")
         try:
             f = tmp.open("x", encoding="utf-8", newline="")
         except OSError as exc:  # name the caller's path, not the temp file
             raise OSError(exc.errno, exc.strerror, str(path)) from None
-        _staged.append((tmp, path))
+        _staged.append((tmp, real))
         with f:
             yield f
 
@@ -469,6 +480,14 @@ def load_embeddings(path, expected_dimension: int | None = None) -> EmbeddingSet
     return whole
 
 
+# Spans parsed per fork round of ``embedding_spans``, at any CPU count: more
+# CPUs split a round's blocks, they do not hold more spans.  Full-shape
+# ``eval`` on 2 CPUs peaked at 130 MB with one span per round and 139 MB with
+# two (198 MB with the file read whole); in-process, its parse and scoring
+# took 3.3-3.6 s with one span per round and 2.8-3.2 s with two (3 runs each).
+_SPANS_PER_ROUND = 2
+
+
 def embedding_spans(
     path, expected_dimension: int | None = None, rows: int | None = None
 ) -> Iterator[EmbeddingSet]:
@@ -478,89 +497,74 @@ def embedding_spans(
     ``expected_dimension`` is given.  Format errors carry the 1-based row
     number of the offending line; the spans before it are yielded first.
 
-    numpy's C reader parses the values in blocks of lines,
-    ``_SPANS_PER_ROUND`` spans per round spread over the CPUs in the
-    affinity mask; from the first round it cannot vouch for (csv quoting,
-    CR line ends, any bad row, an id of an earlier span) on, the row loop
-    yields the spans, and it also locates the error.  A caller that drops
-    each span before asking for the next holds one round at a time.
+    One pass reads the ``line_blocks`` of a file or a pipe alike, cuts each
+    block at the line that ends a span, and has numpy's C reader parse each
+    round of ``_SPANS_PER_ROUND`` spans once it is complete, across the CPUs
+    in the affinity mask: forked workers ``pread`` a file's blocks and
+    inherit a pipe's, held for the round.  From the first round the C reader
+    cannot vouch for (csv quoting, CR line ends, any bad row, an id of an
+    earlier span) on, the row loop reads on from that round's first line,
+    given the ids seen, and locates the error.  A caller that drops each
+    span before asking for the next holds one round at a time.
     """
     path = Path(path)
-    done = yield from _block_spans(path, expected_dimension, rows)
-    if done is not None:
-        yield from _load_rows(path, expected_dimension, rows, done)
-
-
-# Spans parsed per fork round of ``embedding_spans``, at any CPU count: more
-# CPUs split a round's blocks, they do not hold more spans.  Full-shape
-# ``eval`` on 2 CPUs peaked at 130 MB with one span per round and 139 MB with
-# two (198 MB with the file read whole); in-process, its parse and scoring
-# took 3.3-3.6 s with one span per round and 2.8-3.2 s with two (3 runs each).
-_SPANS_PER_ROUND = 2
-
-
-def _block_spans(path: Path, expected_dimension: int | None, rows: int | None):
-    """Yield the spans `_load_rows` yields for ``path`` while that is certain.
-
-    Returns None once every span is yielded, or the number yielded when the
-    rest is not certain.  One binary pass finds the blocks of whole lines,
-    cut at span boundaries; then each round's blocks are parsed into the rows
-    of their spans' preallocated arrays.
-    """
     with path.open("rb") as f:
-        if not f.seekable():  # a pipe can be read once, by the row loop
-            return 0
-        # the first line's commas give the dimension; a row that disagrees declines in its block,
-        # and so does a first line longer than one block
-        dim = f.readline(_BLOCK_BYTES).count(b",") - 1
-        f.seek(0)
-        spans = _span_blocks(f, rows)
-        if not spans or dim < 1 or expected_dimension not in (None, dim):
-            return 0
-        seen: set[str] = set()  # ids of the spans parsed so far
-        for r in range(0, len(spans), _SPANS_PER_ROUND):
-            parsed = _parse_round(f, spans[r : r + _SPANS_PER_ROUND], dim, seen)
+        keep = not f.seekable()  # a pipe cannot be read again at an offset
+        blocks = line_blocks(f)
+        seen: dict[str, int] = {}  # utterance id -> row number, of every span yielded
+        spans: list[list[tuple]] = []  # the open round: per span, (offset, size, lines, bytes or None) blocks
+        dim, left = expected_dimension, 0  # left: lines the open span still takes; none opens the next
+
+        def finish_round(offset=0, raw=b"", start=0):
+            """Yield the open round's spans or, if it declines, return True after the row loop's over its
+            blocks, the block ``raw`` at file offset ``offset`` from byte ``start`` on and the rest."""
+            nonlocal spans
+            parsed = _parse_round(f, spans, dim, seen) if spans else None
             if parsed is None:
-                return r
+                held = ((o, b if b is not None else _read_at(f, o, n)) for span in spans for o, n, _, b in span)
+                rest = itertools.chain(held, [(offset + start, raw[start:])], blocks)
+                yield from _load_rows(path, rest, dim if seen else expected_dimension, rows, seen)
+                return True
+            spans = []
             while parsed:  # popped, so a span the caller drops is freed before the next round
                 yield parsed.pop(0)
-    return None
+            return False
+
+        for offset, raw in blocks:
+            if dim is None:  # the first line's commas; a row that disagrees declines in its block
+                dim = raw[: raw.find(b"\n") + 1 or None].count(b",") - 1
+            lines, start = raw.count(b"\n") + (not raw.endswith(b"\n")), 0
+            while lines:
+                if not left:
+                    spans.append([])
+                    left = rows or math.inf
+                take, end = min(lines, left), len(raw)
+                if take < lines:
+                    end = start
+                    for _ in range(take):
+                        end = raw.index(b"\n", end) + 1
+                spans[-1].append((offset + start, end - start, take, raw[start:end] if keep else None))
+                lines, left, start = lines - take, left - take, end
+                if not left and len(spans) == _SPANS_PER_ROUND:
+                    if (yield from finish_round(offset, raw, start)):
+                        return
+        raw = None  # no bytes of a file are held while the last round is parsed
+        if spans or not seen:  # the last round; the row loop names an empty file
+            yield from finish_round()
 
 
-def _span_blocks(f, rows: int | None) -> list[list[tuple[int, int, int]]]:
-    """The ``(offset, size, lines)`` blocks of whole lines of the binary file ``f``, per span of ``rows`` lines.
+def _parse_round(f, spans, dim: int, seen: dict[str, int]) -> list[EmbeddingSet] | None:
+    """Each span of ``(offset, size, lines, bytes or None)`` blocks as an EmbeddingSet of ``dim`` values a row.
 
-    Blocks are those of ``_line_blocks``, each cut at the line end that ends
-    a span; a last line without LF is a line.  None makes one span.
+    A block without its bytes is read from the binary file ``f``.  Block
+    ``i`` is share ``i % W`` of ``_fork_map``: forked workers only read and
+    parse their blocks into the shared rows, and send back their ids.  None
+    if any block declines, any span fails a record check or any id repeats;
+    else the round's ids are added to ``seen`` with their row numbers.
     """
-    spans: list[list[tuple[int, int, int]]] = []
-    offset = left = 0  # left: lines the open span still takes; none opens the next
-    for raw in _line_blocks(f):
-        lines, start = raw.count(b"\n") + (not raw.endswith(b"\n")), 0
-        while lines:
-            if not left:
-                spans.append([])
-                left = rows or math.inf
-            take, end = min(lines, left), len(raw)
-            if take < lines:
-                end = start
-                for _ in range(take):
-                    end = raw.index(b"\n", end) + 1
-            spans[-1].append((offset + start, end - start, take))
-            lines, left, start = lines - take, left - take, end
-        offset += len(raw)
-    return spans
-
-
-def _parse_round(f, spans, dim: int, seen: set[str]) -> list[EmbeddingSet] | None:
-    """Each span of blocks ``spans`` of the binary file ``f`` as an EmbeddingSet of ``dim`` values a row.
-
-    None if any block declines, any span fails a record check or any id is
-    in ``seen``, to which the ids of each span are added.
-    """
-    try:  # shared, so that forked workers fill them; a malformed first line can ask for too much
+    try:  # shared, so that forked workers fill them; a malformed first line can ask for too much or nothing
         values = [
-            np.frombuffer(mmap.mmap(-1, sum(n for *_, n in blocks) * dim * 8), dtype=np.float64)
+            np.frombuffer(mmap.mmap(-1, sum(n for _, _, n, _ in blocks) * dim * 8), dtype=np.float64)
             .reshape(-1, dim)
             for blocks in spans
         ]
@@ -568,11 +572,23 @@ def _parse_round(f, spans, dim: int, seen: set[str]) -> list[EmbeddingSet] | Non
         return None
     jobs = []
     for blocks, out in zip(spans, values):
-        ends = itertools.accumulate(n for *_, n in blocks)
-        jobs += [(offset, size, out[end - n : end]) for (offset, size, n), end in zip(blocks, ends)]
-    ids = _parse_jobs(f, jobs)
-    if ids is None:
+        ends = itertools.accumulate(n for _, _, n, _ in blocks)
+        jobs += [(offset, size, raw, out[end - n : end]) for (offset, size, n, raw), end in zip(blocks, ends)]
+    workers = min(_WORKERS, len(jobs))
+
+    def parse(k):
+        ids = []
+        for offset, size, raw, out in jobs[k::workers]:
+            got = _parse_block(raw if raw is not None else _read_at(f, offset, size), out)
+            if got is None:
+                return None
+            ids.append(got)
+        return ids
+
+    parts = _fork_map(parse, workers)
+    if any(part is None for part in parts):
         return None
+    ids = [parts[i % workers][i // workers] for i in range(len(jobs))]
     sets = []
     for blocks, out in zip(spans, values):
         span_ids, ids = ids[: len(blocks)], ids[len(blocks) :]
@@ -584,48 +600,29 @@ def _parse_round(f, spans, dim: int, seen: set[str]) -> list[EmbeddingSet] | Non
             )
         except ValueError:
             return None
-        if not seen.isdisjoint(span.utterance_ids):
-            return None
-        seen.update(span.utterance_ids)
         sets.append(span)
+    # the round's ids, numbered by row; none may repeat another of the round or an earlier one
+    new = dict(zip((u for s in sets for u in s.utterance_ids), itertools.count(len(seen) + 1)))
+    if len(new) < sum(map(len, sets)) or not seen.keys().isdisjoint(new):
+        return None
+    seen.update(new)
     return sets
 
 
 def _read_at(f, offset: int, size: int) -> bytes:
-    """``size`` bytes of the binary file ``f`` from ``offset``.
+    """``size`` bytes of the binary file ``f`` from ``offset``; the file's position does not move.
 
-    ``os.pread`` leaves alone the file offset that forked workers share;
-    without it (Windows, where nothing forks) the offset is moved instead.
+    ``os.pread`` leaves alone the position that forked workers share and
+    ``line_blocks`` reads from; without it (Windows, where nothing forks) the
+    position is moved and put back.
     """
     if hasattr(os, "pread"):
         return os.pread(f.fileno(), size, offset)
+    at = f.tell()
     f.seek(offset)
-    return f.read(size)
-
-
-def _parse_jobs(f, jobs) -> list | None:
-    """Parse each ``(offset, size, out)`` block of the binary file ``f`` into its rows ``out``.
-
-    Returns each block's ``(utterance ids, speaker ids)`` in block order, or
-    None if any block declines.  Block ``i`` is share ``i % W`` of
-    ``_fork_map``: forked workers write into the shared rows and send back
-    only their ids.  A worker only reads and parses its blocks.
-    """
-    workers = min(_WORKERS, len(jobs))
-
-    def parse(k):
-        ids = []
-        for offset, size, out in jobs[k::workers]:
-            got = _parse_block(_read_at(f, offset, size), out)
-            if got is None:
-                return None
-            ids.append(got)
-        return ids
-
-    parts = _fork_map(parse, workers)
-    if any(part is None for part in parts):
-        return None
-    return [parts[i % workers][i // workers] for i in range(len(jobs))]
+    raw = f.read(size)
+    f.seek(at)
+    return raw
 
 
 def _parse_block(raw: bytes, out: np.ndarray) -> tuple[tuple[str, ...], ...] | None:
@@ -661,12 +658,13 @@ def _parse_block(raw: bytes, out: np.ndarray) -> tuple[tuple[str, ...], ...] | N
     return utts, spks
 
 
-def _load_rows(
-    path: Path, expected_dimension: int | None, rows: int | None = None, skip: int = 0
-) -> Iterator[EmbeddingSet]:
-    """Reference parse, one csv record at a time: the spans of ``embedding_spans`` from span ``skip`` on.
+def _load_rows(path: Path, blocks, dim: int | None, rows: int | None, seen: dict) -> Iterator[EmbeddingSet]:
+    """Reference parse, one csv record at a time: the spans of ``embedding_spans`` in ``blocks``.
 
-    The rows of skipped spans are checked, not kept; raises at the first bad row.
+    ``blocks`` are the ``line_blocks`` of ``path`` from a span's first line
+    on; ``seen`` maps the utterance id of each row before them to its row
+    number, and ``dim`` is those rows' dimension, or None to take the first
+    row's.  Raises at the first bad row.
     """
     utts: list[str] = []
     spks: list[str | None] = []
@@ -677,10 +675,7 @@ def _load_rows(
         del utts[:], spks[:], vecs[:]
         return out
 
-    dim = expected_dimension
-    seen: dict[str, int] = {}
-    first = skip * rows if skip else 0  # rows of the skipped spans
-    for rownum, rec in csv_rows(path):
+    for rownum, rec in csv_rows(path, blocks, len(seen) + 1):
         if len(rec) < 3:
             raise DataFormatError(f"{path}: row {rownum}: expected utterance_id,speaker_id,v1,...")
         utt, spk, *vals = rec
@@ -706,12 +701,11 @@ def _load_rows(
             raise DataFormatError(f"{path}: row {rownum}: unparseable float value") from None
         if not all(math.isfinite(v) for v in vec):
             raise DataFormatError(f"{path}: row {rownum}: non-finite value")
-        if rownum > first:
-            utts.append(utt)
-            spks.append(None if spk == UNLABELED else spk)
-            vecs.append(vec)
-            if len(vecs) == rows:
-                yield span()
+        utts.append(utt)
+        spks.append(None if spk == UNLABELED else spk)
+        vecs.append(vec)
+        if len(vecs) == rows:
+            yield span()
     if not seen:
         raise DataFormatError(f"{path}: empty embedding file")
     if vecs:

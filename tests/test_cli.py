@@ -1,3 +1,4 @@
+import codecs
 import csv
 import errno
 import io
@@ -6,8 +7,11 @@ import math
 import os
 import re
 import resource
+import signal
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -524,6 +528,32 @@ class TestMetamorphic:
         write_labels(labels, [rows[i] for i in np.random.default_rng(5).permutation(len(rows))])
         assert self.eval_into(workspace, bank_dir, labels, tmp_path / "after") == before
 
+    def test_a_bom_on_every_csv_input_changes_no_byte(self, workspace, bank_dir, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one; it is dropped, as utf-8-sig drops it
+        root, _, _ = workspace
+        bom = tmp_path / "bom"
+        (bom / "bank").mkdir(parents=True)
+        sources = {
+            bom / "train.csv": root / "train_blacklist.csv",
+            bom / "trials.csv": root / "test_trials.csv",
+            bom / "labels.csv": root / "test_labels.csv",
+            bom / "bank" / cli.BANK_FILE: bank_dir / cli.BANK_FILE,
+        }
+        for dst, src in sources.items():
+            dst.write_bytes(codecs.BOM_UTF8 + src.read_bytes())
+        assert cli.main(["enroll", "--train", str(bom / "train.csv"), "--out-dir", str(tmp_path / "bank")]) == 0
+        assert read_all_bytes(tmp_path / "bank") == read_all_bytes(bank_dir)
+        (bom / "bank" / cli.MNORM_FILE).write_bytes((bank_dir / cli.MNORM_FILE).read_bytes())
+        argv = ["eval", "--bank", str(bom / "bank"), "--trials", str(bom / "trials.csv")]
+        assert cli.main([*argv, "--labels", str(bom / "labels.csv"), "--out-dir", str(tmp_path / "got")]) == 0
+        got = read_all_bytes(tmp_path / "got")
+        want = self.eval_into(workspace, bank_dir, root / "test_labels.csv", tmp_path / "want")
+        reports = [json.loads(out.pop(cli.REPORT_FILE)) for out in (got, want)]
+        for report in reports:
+            del report["config"]  # it echoes the input paths
+        assert reports[0] == reports[1]
+        assert got == want
+
 
 class TestMalformedBank:
     @pytest.fixture
@@ -854,6 +884,31 @@ class TestAtomicOutputs:
         )
         assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="makes symbolic links")
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_a_linked_output_keeps_its_link(self, workspace, bank_dir, tmp_path, command):
+        # the file the link names gets the new bytes; the link, relative, stays as it was
+        root, _, _ = workspace
+        name = {"score": "scores.csv", "eval": cli.DET_FILES[0]}[command]
+        argv = {
+            "score": ["score", "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv"), "--out"],
+            "eval": [
+                "eval", "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv"),
+                "--labels", str(root / "test_labels.csv"), "--out-dir",
+            ],
+        }[command]
+        plain, linked, real = tmp_path / "plain", tmp_path / "linked", tmp_path / "real"
+        for d in (plain, linked, real):
+            d.mkdir()
+        (real / name).write_text("old\n", encoding="utf-8")
+        (linked / name).symlink_to(Path("..", "real", name))
+        for d in (plain, linked):
+            assert cli.main([*argv, str(d / name if command == "score" else d)]) == 0
+        assert os.readlink(linked / name) == os.path.join("..", "real", name)
+        assert (real / name).read_bytes() == (plain / name).read_bytes()
+        assert [p.name for p in real.iterdir()] == [name]
+        assert sorted(p.name for p in linked.iterdir()) == sorted(p.name for p in plain.iterdir())
+
 
 class TestOutputLocationsCheckedFirst:
     def argv(self, workspace, bank_dir, command, out):
@@ -936,12 +991,87 @@ class TestOutputLocationsCheckedFirst:
         assert sorted(p.name for p in out.iterdir()) == sorted([name, *before])
         assert list((out / name).iterdir()) == []
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a FIFO")
+    @pytest.mark.parametrize("command, name", [
+        ("score", None), ("enroll", "bank.csv"), ("eval", "det_top_1.csv"), ("simulate", "size_sweep.json"),
+    ])
+    @pytest.mark.parametrize("linked", [False, True], ids=["fifo", "link_to_fifo"])
+    def test_an_output_that_is_not_a_regular_file_fails_before_loading(
+        self, workspace, bank_dir, tmp_path, monkeypatch, capsys, command, name, linked
+    ):
+        # a FIFO would be replaced by a regular file that its reader never sees; so would a device
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(tmp_path / "fifo")
+        target = out / (name or "scores.csv")
+        if linked:
+            target.symlink_to(tmp_path / "fifo")
+        else:
+            os.replace(tmp_path / "fifo", target)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output location was checked")
+
+        monkeypatch.setattr(data, "load_embeddings", no_work)
+        monkeypatch.setattr(synth, "generate_population", no_work)
+        assert cli.main(self.argv(workspace, bank_dir, command, str(target if name is None else out))) == 1
+        where = f"--out {target}:" if name is None else f"--out-dir {out}: {target}"
+        assert capsys.readouterr().err == f"error: {where} is not a regular file\n"
+        assert [p.name for p in out.iterdir()] == [target.name]
+        assert stat.S_ISFIFO(target.stat().st_mode) and target.is_symlink() == linked
+
     def test_missing_directories_are_still_created(self, workspace, tmp_path):
         root, _, _ = workspace
         out = tmp_path / "new" / "bank"
         argv = ["enroll", "--train", str(root / "train_blacklist.csv"), "--out-dir", str(out)]
         assert cli.main(argv) == 0
         assert sorted(p.name for p in out.iterdir()) == ["bank.csv", "mnorm.json"]
+
+
+class TestInterrupted:
+    """SIGINT and SIGTERM end a command with one error line and 128 + the signal number, leaving nothing."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["int", "term"])
+    @pytest.mark.parametrize("hooked", ["_parse_block", "_format_rows"], ids=["parse", "write"])
+    def test_a_signal_leaves_nothing(self, workspace, bank_dir, tmp_path, monkeypatch, capsys, signum, hooked):
+        root, _, _ = workspace
+        out = tmp_path / "scores.csv"
+        out.write_text("old\n", encoding="utf-8")
+        parent, real, fork, forks = os.getpid(), getattr(data, hooked), os.fork, []
+
+        def hook(*args):
+            if os.getpid() == parent:  # while forked workers parse or write their shares
+                assert forks
+                signal.raise_signal(signum)
+            return real(*args)
+
+        monkeypatch.setattr(data, hooked, hook)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(data, "_WORKERS", 3)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 256)  # bank.csv is several parse blocks
+        monkeypatch.setattr(data, "_FORK_VALUES", 0)
+        handlers = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+        fds = set(os.listdir("/proc/self/fd"))
+        argv = ["score", "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv"), "--out", str(out)]
+        assert cli.main(argv) == 128 + signum
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert {s: signal.getsignal(s) for s in handlers} == handlers
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+    def test_main_runs_outside_the_main_thread(self, tmp_path, capsys):
+        # there it sets no handler: only the main thread may
+        argv = ["simulate", "--out-dir", str(tmp_path), "--sizes", "2", "--replicates", "1", "--dimension", "4"]
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and codes == [0]
+        assert capsys.readouterr().err.startswith("timing: simulate took")
 
 
 class TestFlagsCheckedFirst:
@@ -1308,12 +1438,13 @@ class TestFuzz:
         }
         paths = {name: case / name for name in sources}
         paths.update({name: case / "bank" / name for name in ("bank.csv", "mnorm.json")})
+        bom = draw(st.sampled_from([b"", codecs.BOM_UTF8]))  # at byte 0 of every CSV input, or none
         for name in _INPUTS[command]:
             raw = sources[name].read_bytes()
             if name == target:
                 raw = self.defect(name, raw, draw)
             if raw is not None:
-                paths[name].write_bytes(raw)
+                paths[name].write_bytes(raw if name == "mnorm.json" else bom + raw)
         argv = {
             "enroll": [
                 "enroll", "--train", paths["train"], "--augment", paths["augment"], "--out-dir", case / "out",

@@ -1,12 +1,12 @@
 import csv
 import errno
 import io
+import itertools
 import math
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,20 +35,43 @@ def write(path, text):
     return path
 
 
+def loop_spans(path, expected_dimension=None, rows=None):
+    """The spans the csv row loop alone yields for ``path``."""
+    with open(path, "rb") as f:
+        yield from data._load_rows(path, data.line_blocks(f), expected_dimension, rows, {})
+
+
 def row_loop(path, expected_dimension=None):
     """The set the csv row loop alone reads from ``path``."""
-    (whole,) = data._load_rows(path, expected_dimension)
+    (whole,) = loop_spans(path, expected_dimension)
     return whole
 
 
 def block_spans(path, expected_dimension=None, rows=None):
     """The spans the block parser yields for ``path``, or None if it leaves any to the row loop."""
-    spans, parse = [], data._block_spans(Path(path), expected_dimension, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_load_rows", lambda *args: iter([None]))  # marks where the row loop starts
+        spans = list(data.embedding_spans(path, expected_dimension, rows))
+    return None if spans and spans[-1] is None else spans
+
+
+def csv_rows(path):
+    """Every ``(row number, record)`` of the file ``path``."""
+    with open(path, "rb") as f:
+        return list(data.csv_rows(path, data.line_blocks(f)))
+
+
+@contextmanager
+def pipe_of(raw):
+    """``/dev/fd/N``, naming a pipe that a thread fills with ``raw`` and closes."""
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(w, raw), os.close(w)))
+    writer.start()
     try:
-        while True:
-            spans.append(next(parse))
-    except StopIteration as stop:
-        return spans if stop.value is None else None
+        yield f"/dev/fd/{r}"
+    finally:
+        writer.join()
+        os.close(r)
 
 
 def assert_nothing_left(fds):
@@ -187,12 +210,15 @@ class TestLoadEmbeddings:
         nothing_left()
 
     def test_without_fork_or_pread_blocks_are_parsed_serially(self, tmp_path, monkeypatch):
-        lines = [f"u{i},a,{i}.5,1.0\n" for i in range(6)]
+        lines = [f"u{i},a,{i}.5,{10 ** i}.0\n" for i in range(6)]  # of different lengths
         p = write(tmp_path / "e.csv", "".join(lines))
-        monkeypatch.setattr(data, "_BLOCK_BYTES", len(lines[0]))
+        # blocks of two or three lines, so that a round of two one-row spans ends inside a block
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * len(lines[0]) + 1)
         monkeypatch.setattr(data, "_WORKERS", 1)  # its value where os.fork is missing
         monkeypatch.delattr(os, "pread")
         assert block_spans(p) == [row_loop(p)]
+        # three rounds, each read at its offsets while the scan is past its end
+        assert block_spans(p, None, 1) == list(loop_spans(p, None, 1))
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
     @pytest.mark.parametrize("first", [b"u1", b'"u1"'], ids=["plain", "quoted"])
@@ -223,6 +249,29 @@ class TestLoadEmbeddings:
         assert str(info.value) == (
             f"/dev/fd/{r}: line 1001, byte {len(good)}: not valid UTF-8 (invalid start byte)"
         )
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 20])
+    def test_a_bom_is_dropped(self, tmp_path, monkeypatch, block):
+        # one BOM at byte 0, as the utf-8-sig codec drops it; a second one is part of the id
+        text = "u1,spk1,1.0,2.0\nu2,-,0.5,0.25\n"
+        plain = write(tmp_path / "plain.csv", text)
+        bom = write(tmp_path / "bom.csv", "\ufeff" + text)
+        two = write(tmp_path / "two.csv", "\ufeff\ufeff" + text)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block)
+        expected = row_loop(plain)
+        assert block_spans(bom) == [expected] and row_loop(bom) == expected
+        assert load_embeddings(two).utterance_ids == ("\ufeffu1", "u2")
+        if os.path.isdir("/dev/fd"):
+            with pipe_of(bom.read_bytes()) as pipe:
+                assert load_embeddings(pipe) == expected
+        # a byte offset in an error stays the file's
+        bad = tmp_path / "bad.csv"
+        raw = bom.read_bytes().replace(b"0.25", b"0.2\xff")
+        bad.write_bytes(raw)
+        with pytest.raises(DataFormatError) as info:
+            load_embeddings(bad)
+        at = raw.index(b"\xff")
+        assert str(info.value) == f"{bad}: line 2, byte {at}: not valid UTF-8 (invalid start byte)"
 
     def test_not_utf8_names_file_line_and_byte(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -306,6 +355,15 @@ class TestFastPathEqualsLoop:
             return got, str(exc)
         return got, None
 
+    # span sizes read through a pipe: the whole file, one row, a few, one score block
+    PIPE_ROWS = (None, 1, 7, _CHUNK) if os.path.isdir("/dev/fd") else ()
+
+    def piped_spans(self, raw, path, expected_dimension, rows):
+        """``spans`` of ``embedding_spans`` over a pipe of ``raw``; an error names ``path`` for the pipe."""
+        with pipe_of(raw) as pipe:
+            sets, error = self.spans(data.embedding_spans(pipe, expected_dimension, rows))
+        return sets, error and error.replace(f"{pipe}:", f"{path}:", 1)
+
     @staticmethod
     def assert_spans_equal_the_loop(got, loop, rows):
         """``got`` equals the row loop's spans ``loop``: each of ``rows`` rows but the last, bit for bit."""
@@ -356,9 +414,12 @@ class TestFastPathEqualsLoop:
         block = len("".join(line + eol for line in lines[:cut]).encode("utf-8"))
         block = max(block + draw(st.sampled_from([-1, 0, 1])), 1)
         loop = self.outcome(row_loop, path, expected)
+        whole = ([loop], None) if isinstance(loop, EmbeddingSet) else ([], loop)
         # spans of one row, of a few, and of one score block; the defect may fall in a later span
-        rows = draw(st.sampled_from([1, 7, _CHUNK]))
-        loop_spans = self.spans(data._load_rows(path, expected, rows))
+        by_rows = {rows: self.spans(loop_spans(path, expected, rows)) for rows in (1, 7, _CHUNK)}
+        for sets, error in by_rows.values():  # the whole read's set, cut into spans, or its error
+            assert (concatenate(sets), error) == (loop, None) if whole[1] is None else error == loop
+        rows = draw(st.sampled_from(sorted(by_rows)))
         # this process alone, and with one or two forked workers
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
@@ -366,6 +427,8 @@ class TestFastPathEqualsLoop:
                 mp.setattr(data, "_WORKERS", workers)
                 fast = self.outcome(load_embeddings, path, expected)
                 spans = self.spans(data.embedding_spans(path, expected, rows))
+                # the same bytes through a pipe, at every span size
+                piped = {n: self.piped_spans(raw, path, expected, n) for n in self.PIPE_ROWS}
                 if defects <= {"no_final_newline"}:
                     assert block_spans(path, expected) is not None
                     assert block_spans(path, expected, rows) is not None
@@ -373,10 +436,9 @@ class TestFastPathEqualsLoop:
             assert fast == loop
             if isinstance(loop, EmbeddingSet):
                 assert fast.vectors.view(np.uint64).tobytes() == loop.vectors.view(np.uint64).tobytes()
-                assert loop_spans[1] is None and concatenate(loop_spans[0]) == loop
-            else:
-                assert loop_spans[1] == loop
-            self.assert_spans_equal_the_loop(spans, loop_spans, rows)
+            self.assert_spans_equal_the_loop(spans, by_rows[rows], rows)
+            for n, got in piped.items():
+                self.assert_spans_equal_the_loop(got, by_rows.get(n, whole), n)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -391,44 +453,39 @@ class TestFastPathEqualsLoop:
             lines[2 * rows] = "u0" + lines[2 * rows][len(f"u{2 * rows}"):]
         path = tmp_path / "e.csv"
         path.write_text("" if case == "empty_file" else "".join(lines), encoding="utf-8")
-        loop = self.spans(data._load_rows(path, None, rows))
+        loop = self.spans(loop_spans(path, None, rows))
         assert loop[1] == {
             "late_decline": None,
             "split_duplicate": f"{path}: row {2 * rows + 1}: duplicate utterance id 'u0' (first seen at row 1)",
             "empty_file": f"{path}: empty embedding file",
             "pipe": None,
         }[case]
-        # the block parser yields every span before the round it cannot vouch for
+        # the block parser yields every span before the round it cannot vouch for, and the row
+        # loop reads on from that round's first row; a clean pipe never reaches the row loop
         per_round = data._SPANS_PER_ROUND
-        first_left = {
-            "late_decline": (n - 1) // rows // per_round * per_round,
-            "split_duplicate": 2 // per_round * per_round,
+        declined_round = {
+            "late_decline": (n - 1) // rows // per_round,
+            "split_duplicate": 2 // per_round,
             "empty_file": 0,
-            "pipe": 0,
+            "pipe": None,
         }[case]
-        skips, load_rows = [], data._load_rows
+        starts, load_rows = [], data._load_rows
 
-        def spy(path, expected_dimension, rows=None, skip=0):
-            skips.append(skip)
-            return load_rows(path, expected_dimension, rows, skip)
+        def spy(path, blocks, dim, rows, seen):
+            starts.append(len(seen) + 1)
+            return load_rows(path, blocks, dim, rows, seen)
 
         monkeypatch.setattr(data, "_load_rows", spy)
         monkeypatch.setattr(data, "_BLOCK_BYTES", 256)
         monkeypatch.setattr(data, "_WORKERS", workers)
         fds = set(os.listdir("/proc/self/fd"))
         if case == "pipe":
-            r, w = os.pipe()
-            writer = threading.Thread(target=lambda: (os.write(w, path.read_bytes()), os.close(w)))
-            writer.start()
-            try:
-                got = self.spans(data.embedding_spans(f"/dev/fd/{r}", None, rows))
-            finally:
-                writer.join()
-                os.close(r)
+            with pipe_of(path.read_bytes()) as pipe:
+                got = self.spans(data.embedding_spans(pipe, None, rows))
         else:
             got = self.spans(data.embedding_spans(path, None, rows))
         self.assert_spans_equal_the_loop(got, loop, rows)
-        assert skips == [first_left]
+        assert starts == ([] if declined_round is None else [declined_round * per_round * rows + 1])
         assert_nothing_left(fds)
 
 
@@ -718,7 +775,7 @@ class TestCsvRows:
 
     @staticmethod
     def reference(path):
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             return list(enumerate(csv.reader(f), 1))
 
     # block sizes that put block edges inside quoted fields, and one that holds the file
@@ -727,19 +784,20 @@ class TestCsvRows:
         rows=st.lists(st.lists(_ID_TEXT, min_size=1, max_size=4), min_size=1, max_size=8),
         eol=st.sampled_from(["\n", "\r\n", "\r"]),
         final_eol=st.booleans(),
+        bom=st.sampled_from(["", "\ufeff", "\ufeff\ufeff"]),
         block=st.sampled_from([1, 64, 1 << 20]),
     )
-    def test_equals_the_text_mode_reader(self, tmp_path_factory, rows, eol, final_eol, block):
+    def test_equals_the_text_mode_reader(self, tmp_path_factory, rows, eol, final_eol, bom, block):
         lines = []
         for row in rows:
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\r\n").writerow(row)
             lines.append(buf.getvalue()[:-2])
         path = tmp_path_factory.mktemp("rows") / "r.csv"
-        path.write_bytes((eol.join(lines) + (eol if final_eol else "")).encode("utf-8"))
+        path.write_bytes((bom + eol.join(lines) + (eol if final_eol else "")).encode("utf-8"))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_BLOCK_BYTES", block)
-            assert list(data.csv_rows(path)) == self.reference(path)
+            assert csv_rows(path) == self.reference(path)
 
     @pytest.mark.parametrize("block", [1, 64, 1 << 20])
     def test_a_short_row_before_a_bad_byte_is_reported_first(self, tmp_path, monkeypatch, block):
@@ -755,8 +813,9 @@ class TestCsvRows:
         line = b"u000,a,1.0" + eol
         raw = b"".join(line.replace(b"000", b"%03d" % i) for i in range(200))
         monkeypatch.setattr(data, "_BLOCK_BYTES", 64)
-        blocks = list(data._line_blocks(io.BytesIO(raw)))
+        offsets, blocks = zip(*data.line_blocks(io.BytesIO(raw)))
         assert b"".join(blocks) == raw
+        assert list(offsets) == [0, *itertools.accumulate(map(len, blocks[:-1]))]
         assert all(b.endswith(eol) for b in blocks)  # a CR LF is never split
         assert max(map(len, blocks)) < 2 * (64 + len(line))
 
@@ -769,7 +828,7 @@ class TestCsvRows:
         p.write_bytes(raw[:at] + b"\xff" + raw[at:])
         monkeypatch.setattr(data, "_BLOCK_BYTES", block)
         with pytest.raises(DataFormatError) as info:
-            list(data.csv_rows(p))
+            csv_rows(p)
         assert str(info.value) == f"{p}: line 18, byte {at}: not valid UTF-8 (invalid start byte)"
 
 
