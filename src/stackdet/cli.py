@@ -4,11 +4,11 @@ All outputs are deterministic given the flags and the BLAS thread count:
 repeated runs produce byte-identical files.  ``--threads`` is accepted and
 ignored, so existing command lines keep working.  Each command prints its
 wall-clock time to stderr, never into report files.  Output locations are
-checked before any input is read, and the files of one command appear
-together or not at all.  Errors are printed to stderr with an ``error:``
-prefix and a nonzero exit code; SIGINT and SIGTERM end a command with
-``error: interrupted`` and exit status 128 + the signal number, its temp
-files removed.
+checked before any input is read, and the input paths before any is
+parsed; the files of one command appear together or not at all.  Errors
+are printed to stderr with an ``error:`` prefix and a nonzero exit code;
+SIGINT and SIGTERM end a command with ``error: interrupted`` and exit
+status 128 + the signal number, its temp files removed.
 
 A bank directory holds ``bank.csv`` (one unit direction per detector) and
 ``mnorm.json`` (its cohort statistics).  ``load_bank`` returns the two
@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
+import stat
 import sys
 import threading
 import time
@@ -40,6 +42,13 @@ REPORT_SCHEMA_VERSION = 1
 DET_FILES = ("det_top_s.csv", "det_top_1.csv")
 SWEEP_FILES = ("size_sweep.csv", "size_sweep.json")
 DEFAULT_DET_POINTS = 512
+
+# Score blocks (``bank._CHUNK`` rows each) per trial span that ``eval`` parses
+# at once.  Full-shape ``eval`` on 2 CPUs peaked at 130 MB with spans of one
+# block and 139 MB with spans of two (198 MB with the file read whole);
+# in-process, its parse and scoring took 3.3-3.6 s with spans of one block and
+# 2.8-3.2 s with spans of two (3 runs each).
+_SPAN_CHUNKS = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +84,20 @@ def _check_out_dir(path, names) -> None:
     for name in names:
         if why := _not_replaceable(path / name):
             raise ValueError(f"--out-dir {path}: {path / name} {why}")
+
+
+def _check_inputs(args, *flags) -> None:
+    """Fail before any parse when the input path of a flag in ``flags`` is missing or is a directory.
+
+    Only ``stat`` is called, for opening a FIFO blocks until its writer opens it.
+    """
+    for flag in flags:
+        path = getattr(args, flag[2:])
+        try:  # an empty --augment is no path: enroll skips it
+            if path and stat.S_ISDIR(os.stat(path).st_mode):
+                raise ValueError(f"{flag} {path}: is a directory")
+        except OSError as exc:
+            raise ValueError(f"{flag} {path}: {exc.strerror}") from None
 
 
 def _check_out_file(path) -> None:
@@ -204,6 +227,7 @@ def _bank_and_stats(args):
 
 def cmd_enroll(args) -> int:
     _check_out_dir(args.out_dir, (BANK_FILE, MNORM_FILE))
+    _check_inputs(args, "--train", "--augment")
     pooled = data.load_embeddings(args.train)
     if args.augment:
         extra = data.load_embeddings(args.augment, expected_dimension=pooled.dimension)
@@ -218,6 +242,7 @@ def cmd_enroll(args) -> int:
 def cmd_score(args) -> int:
     _check_out_file(args.out)
     b, stats = _bank_and_stats(args)
+    _check_inputs(args, "--trials")
     trials = data.load_embeddings(args.trials, expected_dimension=b.dimension)
     blocks = bank_mod.score_blocks(b, trials, stats)
     data.save_table(args.out, ("utterance_id", *b.speaker_ids), (trials.utterance_ids,), blocks)
@@ -230,10 +255,11 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--det-points must be at least 2, got {args.det_points}")
     _check_out_dir(args.out_dir, (REPORT_FILE, *DET_FILES))
     b, stats = _bank_and_stats(args)
-    # each trial span is one score block, scored and dropped before the next round is parsed; a
+    _check_inputs(args, "--trials", "--labels")
+    # each trial span is scored in whole score blocks and dropped before the next span is parsed; a
     # scoring error waits until every span is parsed and the labels are read, the order of a whole read
     ids, y_star, h_star, failed = [], [], [], None
-    for span in data.embedding_spans(args.trials, b.dimension, bank_mod._CHUNK):
+    for span in data.embedding_spans(args.trials, b.dimension, _SPAN_CHUNKS * bank_mod._CHUNK):
         ids += span.utterance_ids
         if failed is None:
             try:

@@ -32,16 +32,16 @@ of whole lines (``line_blocks``) that drop a UTF-8 BOM at byte 0, and a
 byte that is not UTF-8 is named by its line and file offset from the block
 in memory (``decode``).  One reader, ``embedding_spans``, yields an embedding CSV as
 sets of a fixed row count; ``load_embeddings`` is that reader with one span
-of the whole file.  It cuts the blocks at span boundaries as they arrive,
-so no block straddles two spans, and parses each round of spans once it is
-complete.  Both read paths parse values bit-exactly: numpy's ``loadtxt``,
-which parses embedding values block by block, uses the same correctly
+of the whole file.  It cuts the blocks into pieces at span boundaries as
+they arrive, so no piece straddles two spans, and parses each span once it
+is complete.  Both read paths parse values bit-exactly: numpy's ``loadtxt``,
+which parses embedding values piece by piece, uses the same correctly
 rounded conversion as ``float()`` (CPython's ``PyOS_string_to_double``),
-and the csv row loop (``csv_rows``) that reads on from the first round
-numpy declines calls ``float()`` itself.  The blocks of each round are
+and the csv row loop (``csv_rows``) that reads on from the first span
+numpy declines calls ``float()`` itself.  The pieces of each span are
 parsed across the CPUs in the affinity mask, by this process and forked
-workers that fill one shared array per span, each block by the same call,
-so the values are bit-identical at any CPU count.
+workers that fill the span's one shared array, each piece by the same
+call, so the values are bit-identical at any CPU count.
 ``_fork_map`` is the one place that forks, for reads and writes alike; a
 share whose fork or worker fails is done by this process.  With one CPU, or
 without ``os.fork`` or an affinity mask, all of it is done serially here.
@@ -61,6 +61,7 @@ import pickle
 import shutil
 import signal
 import tempfile
+from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -281,7 +282,8 @@ def line_blocks(f):
         end = max(end, raw.rfind(b"\r", end, -1) + 1)
         head = raw[end:]
         if end:
-            yield offset, raw[:end]
+            block, raw = [raw[:end]], None  # no name here holds the block, so a caller can drop it
+            yield offset, block.pop()
             offset += end
     if head:
         yield offset, head
@@ -480,14 +482,6 @@ def load_embeddings(path, expected_dimension: int | None = None) -> EmbeddingSet
     return whole
 
 
-# Spans parsed per fork round of ``embedding_spans``, at any CPU count: more
-# CPUs split a round's blocks, they do not hold more spans.  Full-shape
-# ``eval`` on 2 CPUs peaked at 130 MB with one span per round and 139 MB with
-# two (198 MB with the file read whole); in-process, its parse and scoring
-# took 3.3-3.6 s with one span per round and 2.8-3.2 s with two (3 runs each).
-_SPANS_PER_ROUND = 2
-
-
 def embedding_spans(
     path, expected_dimension: int | None = None, rows: int | None = None
 ) -> Iterator[EmbeddingSet]:
@@ -498,82 +492,83 @@ def embedding_spans(
     number of the offending line; the spans before it are yielded first.
 
     One pass reads the ``line_blocks`` of a file or a pipe alike, cuts each
-    block at the line that ends a span, and has numpy's C reader parse each
-    round of ``_SPANS_PER_ROUND`` spans once it is complete, across the CPUs
-    in the affinity mask: forked workers ``pread`` a file's blocks and
-    inherit a pipe's, held for the round.  From the first round the C reader
-    cannot vouch for (csv quoting, CR line ends, any bad row, an id of an
-    earlier span) on, the row loop reads on from that round's first line,
-    given the ids seen, and locates the error.  A caller that drops each
-    span before asking for the next holds one round at a time.
+    block into pieces at the lines that end a span, and has numpy's C reader
+    parse each span once it is complete, across the CPUs in the affinity
+    mask: forked workers ``pread`` a file's pieces and inherit a pipe's,
+    whose bytes are held for the span.  A file's block is cut whole before
+    its first span is parsed, so no bytes of a file are held while workers
+    fork.  From the first span the C reader cannot vouch for (csv quoting,
+    CR line ends, any bad row, an id of an earlier span) on, the row loop
+    reads on from that span's first line, given the ids seen, and locates
+    the error.  A caller that drops each span before asking for the next
+    holds one span at a time.
     """
     path = Path(path)
     with path.open("rb") as f:
         keep = not f.seekable()  # a pipe cannot be read again at an offset
         blocks = line_blocks(f)
         seen: dict[str, int] = {}  # utterance id -> row number, of every span yielded
-        spans: list[list[tuple]] = []  # the open round: per span, (offset, size, lines, bytes or None) blocks
+        pieces: list[tuple] = []  # the open span: (offset, size, lines, bytes or None) pieces
         dim, left = expected_dimension, 0  # left: lines the open span still takes; none opens the next
 
-        def finish_round(offset=0, raw=b"", start=0):
-            """Yield the open round's spans or, if it declines, return True after the row loop's over its
-            blocks, the block ``raw`` at file offset ``offset`` from byte ``start`` on and the rest."""
-            nonlocal spans
-            parsed = _parse_round(f, spans, dim, seen) if spans else None
-            if parsed is None:
-                held = ((o, b if b is not None else _read_at(f, o, n)) for span in spans for o, n, _, b in span)
-                rest = itertools.chain(held, [(offset + start, raw[start:])], blocks)
-                yield from _load_rows(path, rest, dim if seen else expected_dimension, rows, seen)
-                return True
-            spans = []
-            while parsed:  # popped, so a span the caller drops is freed before the next round
-                yield parsed.pop(0)
-            return False
+        def finish(rest=()):
+            """Yield the open span or, if the C reader declines it, return True after the row loop's spans
+            over its pieces, the pieces ``rest`` and the blocks after them."""
+            span = _parse_span(f, pieces, dim, seen) if pieces else None
+            if span is not None:
+                pieces.clear()  # a pipe's text is not held while the caller has the span
+                yield span
+                return False
+            rest = [*pieces, *filter(None, rest)]
+            held = ((o, b if b is not None else _read_at(f, o, n)) for o, n, _, b in rest)
+            first_dim = dim if seen else expected_dimension
+            yield from _load_rows(path, itertools.chain(held, blocks), first_dim, rows, seen)
+            return True
 
         for offset, raw in blocks:
             if dim is None:  # the first line's commas; a row that disagrees declines in its block
                 dim = raw[: raw.find(b"\n") + 1 or None].count(b",") - 1
+            cut = deque()  # the block's pieces, and after each that ends a span, None
             lines, start = raw.count(b"\n") + (not raw.endswith(b"\n")), 0
             while lines:
                 if not left:
-                    spans.append([])
                     left = rows or math.inf
                 take, end = min(lines, left), len(raw)
                 if take < lines:
                     end = start
                     for _ in range(take):
                         end = raw.index(b"\n", end) + 1
-                spans[-1].append((offset + start, end - start, take, raw[start:end] if keep else None))
+                cut.append((offset + start, end - start, take, raw[start:end] if keep else None))
+                if take == left:
+                    cut.append(None)
                 lines, left, start = lines - take, left - take, end
-                if not left and len(spans) == _SPANS_PER_ROUND:
-                    if (yield from finish_round(offset, raw, start)):
-                        return
-        raw = None  # no bytes of a file are held while the last round is parsed
-        if spans or not seen:  # the last round; the row loop names an empty file
-            yield from finish_round()
+            raw = None  # nor does line_blocks hold it: no bytes of a file are held while a span is parsed
+            while cut:  # popped, so that no piece of a pipe outlives its span's parse
+                piece = cut.popleft()
+                if piece is not None:
+                    pieces.append(piece)
+                elif (yield from finish(cut)):
+                    return
+        if pieces or not seen:  # the last span; the row loop names an empty file
+            yield from finish()
 
 
-def _parse_round(f, spans, dim: int, seen: dict[str, int]) -> list[EmbeddingSet] | None:
-    """Each span of ``(offset, size, lines, bytes or None)`` blocks as an EmbeddingSet of ``dim`` values a row.
+def _parse_span(f, pieces, dim: int, seen: dict[str, int]) -> EmbeddingSet | None:
+    """The ``(offset, size, lines, bytes or None)`` pieces of a span as an EmbeddingSet of ``dim`` values a row.
 
-    A block without its bytes is read from the binary file ``f``.  Block
+    A piece without its bytes is read from the binary file ``f``.  Piece
     ``i`` is share ``i % W`` of ``_fork_map``: forked workers only read and
-    parse their blocks into the shared rows, and send back their ids.  None
-    if any block declines, any span fails a record check or any id repeats;
-    else the round's ids are added to ``seen`` with their row numbers.
+    parse their pieces into the shared rows, and send back their ids.  None
+    if any piece declines, the span fails a record check or repeats an id of
+    ``seen``; else the span's ids are added to ``seen`` with their row numbers.
     """
-    try:  # shared, so that forked workers fill them; a malformed first line can ask for too much or nothing
-        values = [
-            np.frombuffer(mmap.mmap(-1, sum(n for _, _, n, _ in blocks) * dim * 8), dtype=np.float64)
-            .reshape(-1, dim)
-            for blocks in spans
-        ]
+    try:  # shared, so that forked workers fill it; a malformed first line can ask for too much or nothing
+        shared = mmap.mmap(-1, sum(n for _, _, n, _ in pieces) * dim * 8)
     except (OverflowError, OSError):
         return None
-    jobs = []
-    for blocks, out in zip(spans, values):
-        ends = itertools.accumulate(n for _, _, n, _ in blocks)
-        jobs += [(offset, size, raw, out[end - n : end]) for (offset, size, n, raw), end in zip(blocks, ends)]
+    values = np.frombuffer(shared, dtype=np.float64).reshape(-1, dim)
+    ends = itertools.accumulate(n for _, _, n, _ in pieces)
+    jobs = [(offset, size, raw, values[end - n : end]) for (offset, size, n, raw), end in zip(pieces, ends)]
     workers = min(_WORKERS, len(jobs))
 
     def parse(k):
@@ -589,24 +584,18 @@ def _parse_round(f, spans, dim: int, seen: dict[str, int]) -> list[EmbeddingSet]
     if any(part is None for part in parts):
         return None
     ids = [parts[i % workers][i // workers] for i in range(len(jobs))]
-    sets = []
-    for blocks, out in zip(spans, values):
-        span_ids, ids = ids[: len(blocks)], ids[len(blocks) :]
-        try:  # rejects empty and duplicate utterance ids and non-finite values
-            span = EmbeddingSet(
-                [u for utts, _ in span_ids for u in utts],
-                [None if s == UNLABELED else s for _, spks in span_ids for s in spks],
-                out,
-            )
-        except ValueError:
-            return None
-        sets.append(span)
-    # the round's ids, numbered by row; none may repeat another of the round or an earlier one
-    new = dict(zip((u for s in sets for u in s.utterance_ids), itertools.count(len(seen) + 1)))
-    if len(new) < sum(map(len, sets)) or not seen.keys().isdisjoint(new):
+    try:  # rejects empty and duplicate utterance ids and non-finite values
+        span = EmbeddingSet(
+            [u for utts, _ in ids for u in utts],
+            [None if s == UNLABELED else s for _, spks in ids for s in spks],
+            values,
+        )
+    except ValueError:
         return None
-    seen.update(new)
-    return sets
+    if not seen.keys().isdisjoint(span.utterance_ids):
+        return None
+    seen.update(zip(span.utterance_ids, itertools.count(len(seen) + 1)))
+    return span
 
 
 def _read_at(f, offset: int, size: int) -> bytes:

@@ -328,7 +328,7 @@ class TestEval:
             ]
         )
 
-    # a small chunk cuts the 38 trials into spans over several parse rounds
+    # a small chunk cuts the 38 trials into several spans, each its own parse round
     @pytest.mark.parametrize("chunk", [bank_mod._CHUNK, 4])
     def test_report_matches_library_pipeline(self, workspace, bank_dir, tmp_path, monkeypatch, capsys, chunk):
         root, pop, train_bl = workspace
@@ -347,10 +347,10 @@ class TestEval:
         monkeypatch.setattr(data, "load_embeddings", load_spy)
         monkeypatch.setattr(bank_mod, "stack_scores", stack_spy)
         assert self.run_eval(workspace, bank_dir, tmp_path / "out") == 0
-        # the trials are never read whole, and each span is one score block
+        # the trials are never read whole, and each span is at most two score blocks
         assert loaded == [bank_dir / cli.BANK_FILE]
-        assert sum(scored) == len(pop.test) and max(scored) <= chunk
-        assert len(scored) == -(-len(pop.test) // chunk)
+        assert sum(scored) == len(pop.test) and max(scored) <= 2 * chunk
+        assert len(scored) == -(-len(pop.test) // (2 * chunk))
         assert re.fullmatch(r"timing: eval took \d+\.\d{3}s\n", capsys.readouterr().err)
         report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
         b = enroll(train_bl)
@@ -370,8 +370,19 @@ class TestEval:
             "theta,p_fa,p_miss\n"
         )
 
+    def test_spans_of_any_whole_number_of_score_blocks_give_the_same_bytes(self, workspace, bank_dir, tmp_path, monkeypatch):
+        # every span is cut into score blocks at the same rows, so each product has the same shape
+        monkeypatch.setattr(bank_mod, "_CHUNK", 4)
+        outs = []
+        for chunks in (1, 2, 3):
+            monkeypatch.setattr(cli, "_SPAN_CHUNKS", chunks)
+            assert self.run_eval(workspace, bank_dir, tmp_path / str(chunks)) == 0
+            outs.append(read_all_bytes(tmp_path / str(chunks)))
+        assert sorted(outs[0]) == ["det_top_1.csv", "det_top_s.csv", "report.json"]
+        assert outs[0] == outs[1] == outs[2]
+
     def test_a_scoring_error_waits_for_the_parse_and_the_labels(self, tmp_path, monkeypatch, capsys):
-        # spans of two trials: each is scored before the next round is parsed, yet the error
+        # spans of four trials: each is scored before the next is parsed, yet the error
         # is the one a whole read meets first: the trials, then the labels, then the scores
         monkeypatch.setattr(bank_mod, "_CHUNK", 2)
         b = bank_mod.DetectorBank(("d1", "d2"), [[1.0, 0.0], [0.0, 1.0]])
@@ -1026,6 +1037,66 @@ class TestOutputLocationsCheckedFirst:
         argv = ["enroll", "--train", str(root / "train_blacklist.csv"), "--out-dir", str(out)]
         assert cli.main(argv) == 0
         assert sorted(p.name for p in out.iterdir()) == ["bank.csv", "mnorm.json"]
+
+
+class TestInputPathsCheckedFirst:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command, flag", [
+        ("enroll", "--train"), ("enroll", "--augment"), ("score", "--trials"), ("eval", "--trials"), ("eval", "--labels"),
+    ])
+    def test_a_bad_input_path_fails_before_any_parse(
+        self, workspace, bank_dir, tmp_path, monkeypatch, capsys, command, flag, kind
+    ):
+        root, _, _ = workspace
+        bad = tmp_path / "input"
+        if kind == "directory":
+            bad.mkdir()
+        inputs = {
+            "--train": root / "train_blacklist.csv",
+            "--augment": root / "dev_blacklist.csv",
+            "--trials": root / "test_trials.csv",
+            "--labels": root / "test_labels.csv",
+        } | {flag: bad}
+        out = tmp_path / "out"
+        argv = {
+            "enroll": ["enroll", "--train", inputs["--train"], "--augment", inputs["--augment"], "--out-dir", out],
+            "score": ["score", "--bank", bank_dir, "--trials", inputs["--trials"], "--out", out],
+            "eval": [
+                "eval", "--bank", bank_dir, "--trials", inputs["--trials"], "--labels", inputs["--labels"],
+                "--out-dir", out,
+            ],
+        }[command]
+        parsed, embedding_spans = [], data.embedding_spans
+
+        def spy(path, *args, **kwargs):
+            parsed.append(Path(path))
+            return embedding_spans(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "embedding_spans", spy)
+        assert cli.main([str(a) for a in argv]) == 1
+        why = "is a directory" if kind == "directory" else "No such file or directory"
+        assert capsys.readouterr().err == f"error: {flag} {bad}: {why}\n"
+        # only the bank, which names no input flag, is parsed first
+        assert parsed == ([] if command == "enroll" else [bank_dir / cli.BANK_FILE])
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a FIFO")
+    def test_a_fifo_input_is_not_opened_by_the_check(self, bank_dir, tmp_path, child_env):
+        # opening a FIFO that has no writer blocks; the check only stats it
+        os.mkfifo(tmp_path / "fifo")
+        missing = tmp_path / "missing.csv"
+        child = subprocess.run(
+            [
+                sys.executable, "-m", "stackdet.cli", "eval", "--bank", str(bank_dir),
+                "--trials", str(tmp_path / "fifo"), "--labels", str(missing), "--out-dir", str(tmp_path / "out"),
+            ],
+            env=child_env(1),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (1, f"error: --labels {missing}: No such file or directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
 
 class TestInterrupted:

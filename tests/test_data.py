@@ -5,7 +5,8 @@ import itertools
 import math
 import os
 import threading
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, nullcontext
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -212,13 +213,45 @@ class TestLoadEmbeddings:
     def test_without_fork_or_pread_blocks_are_parsed_serially(self, tmp_path, monkeypatch):
         lines = [f"u{i},a,{i}.5,{10 ** i}.0\n" for i in range(6)]  # of different lengths
         p = write(tmp_path / "e.csv", "".join(lines))
-        # blocks of two or three lines, so that a round of two one-row spans ends inside a block
+        # blocks of two or three lines, so that a one-row span ends inside a block
         monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * len(lines[0]) + 1)
         monkeypatch.setattr(data, "_WORKERS", 1)  # its value where os.fork is missing
         monkeypatch.delattr(os, "pread")
         assert block_spans(p) == [row_loop(p)]
-        # three rounds, each read at its offsets while the scan is past its end
+        # six spans, each read at its offsets while the scan is past its end
         assert block_spans(p, None, 1) == list(loop_spans(p, None, 1))
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_no_bytes_of_a_file_are_held_while_a_span_is_parsed(self, tmp_path, monkeypatch, source):
+        # spans of 316 rows end 4 and 8 rows before the end of a 64-row block.  What a worker
+        # would inherit at the fork of a file's span is the ids seen and the pieces, never a
+        # block; at a pipe's, also the span's text and the rest of its last block.  Once the
+        # span is yielded, no piece of it is held
+        lines = [f"u{i:03},s{i % 7}," + ",".join([f"{i:03}.123456789"] * 300) + "\n" for i in range(948)]
+        p = write(tmp_path / "e.csv", "".join(lines))
+        block, text = 64 * len(lines[0]), 316 * len(lines[0])
+        if source == "pipe" and not os.path.isdir("/dev/fd"):
+            pytest.skip("names a pipe through /dev/fd")
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(data, "_WORKERS", 1)
+        parsing, held, fork_map = [], [], data._fork_map
+
+        def spy(work, n):
+            parsing.append(tracemalloc.get_traced_memory()[0])
+            return fork_map(work, n)
+
+        monkeypatch.setattr(data, "_fork_map", spy)
+        with pipe_of(p.read_bytes()) if source == "pipe" else nullcontext(p) as path:
+            tracemalloc.start()
+            try:
+                for span in data.embedding_spans(path, None, 316):
+                    held.append(tracemalloc.get_traced_memory()[0])
+                    assert len(span) == 316
+            finally:
+                tracemalloc.stop()
+        assert len(parsing) == len(held) == 3
+        assert max(parsing) < (block if source == "file" else text + 2 * block)
+        assert max(held) < block
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
     @pytest.mark.parametrize("first", [b"u1", b'"u1"'], ids=["plain", "quoted"])
@@ -460,12 +493,11 @@ class TestFastPathEqualsLoop:
             "empty_file": f"{path}: empty embedding file",
             "pipe": None,
         }[case]
-        # the block parser yields every span before the round it cannot vouch for, and the row
-        # loop reads on from that round's first row; a clean pipe never reaches the row loop
-        per_round = data._SPANS_PER_ROUND
-        declined_round = {
-            "late_decline": (n - 1) // rows // per_round,
-            "split_duplicate": 2 // per_round,
+        # the block parser yields every span before the one it cannot vouch for, and the row
+        # loop reads on from that span's first row; a clean pipe never reaches the row loop
+        declined_span = {
+            "late_decline": (n - 1) // rows,
+            "split_duplicate": 2,
             "empty_file": 0,
             "pipe": None,
         }[case]
@@ -485,7 +517,7 @@ class TestFastPathEqualsLoop:
         else:
             got = self.spans(data.embedding_spans(path, None, rows))
         self.assert_spans_equal_the_loop(got, loop, rows)
-        assert starts == ([] if declined_round is None else [declined_round * per_round * rows + 1])
+        assert starts == ([] if declined_span is None else [declined_span * rows + 1])
         assert_nothing_left(fds)
 
 
