@@ -27,21 +27,19 @@ are the same at any CPU count; smaller blocks are written serially.
 Each file goes to a temp file that its ``output_group`` moves into place
 once all of the group's files are complete, beside the file a symbolic
 link names, so the link is kept; a file written alone is a group of one.
-Every CSV input, a file or a pipe, is read in one pass, in binary blocks
-of whole lines (``line_blocks``) that drop a UTF-8 BOM at byte 0, and a
-byte that is not UTF-8 is named by its line and file offset from the block
-in memory (``decode``).  One reader, ``embedding_spans``, yields an embedding CSV as
-sets of a fixed row count; ``load_embeddings`` is that reader with one span
-of the whole file.  It cuts the blocks into pieces at span boundaries as
-they arrive, so no piece straddles two spans, and parses each span once it
-is complete.  Both read paths parse values bit-exactly: numpy's ``loadtxt``,
-which parses embedding values piece by piece, uses the same correctly
-rounded conversion as ``float()`` (CPython's ``PyOS_string_to_double``),
-and the csv row loop (``csv_rows``) that reads on from the first span
-numpy declines calls ``float()`` itself.  The pieces of each span are
-parsed across the CPUs in the affinity mask, by this process and forked
-workers that fill the span's one shared array, each piece by the same
-call, so the values are bit-identical at any CPU count.
+Every CSV input is read in binary blocks of whole lines (``line_blocks``)
+that drop a UTF-8 BOM at byte 0, and a byte that is not UTF-8 is named by
+its line and file offset from the block in memory (``decode``).  One
+reader, ``embedding_spans``, yields an embedding CSV as sets of a fixed row
+count (``load_embeddings``: one set); it parses a pipe after EOF from a
+copy in an unlinked TMPDIR file, which needs free space of its size.
+Both read paths parse values bit-exactly: numpy's ``loadtxt`` rounds as
+``float()`` does (CPython's ``PyOS_string_to_double``), and the csv row
+loop (``csv_rows``), which reads again from the first span numpy declines,
+calls ``float()`` itself.  Each span's pieces are parsed across the CPUs in
+the affinity mask, by this process and forked workers that ``pread`` them
+into the span's one shared array, each by the same call, so the values are
+bit-identical at any CPU count.
 ``_fork_map`` is the one place that forks, for reads and writes alike; a
 share whose fork or worker fails is done by this process.  With one CPU, or
 without ``os.fork`` or an affinity mask, all of it is done serially here.
@@ -61,7 +59,6 @@ import pickle
 import shutil
 import signal
 import tempfile
-from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -260,17 +257,17 @@ def _fork_map(work, n: int) -> list:
             os.waitpid(pid, 0)
 
 
-def line_blocks(f):
+def line_blocks(f, offset: int = 0):
     """Yield ``(offset, block)`` for the binary file ``f`` in blocks of whole lines of about ``_BLOCK_BYTES``.
 
-    ``offset`` is the block's first byte in the file.  A UTF-8 BOM at byte 0
-    is dropped, as by the ``utf-8-sig`` codec.  A block runs from its read to
-    the next LF or, if as many bytes again hold none (lone-CR line ends, a
-    long line), to the last LF or lone CR read; never between a CR and its
-    LF.  The last block runs to the end of the file.
+    Reading starts at the position of ``f``, byte ``offset`` of the file, and
+    a block's ``offset`` is its first byte.  A UTF-8 BOM at byte 0 is dropped,
+    as by the ``utf-8-sig`` codec.  A block runs from its read to the next LF
+    or, if as many bytes again hold none (lone-CR line ends, a long line), to
+    the last LF or lone CR read; never between a CR and its LF.  The last
+    block runs to the end of the file.
     """
-    offset = 0  # of the next block's first byte
-    head = b""  # read past the last block's end
+    head = b""  # read past the last block's end; offset is the next block's first byte
     while raw := f.read(_BLOCK_BYTES):
         raw = head + raw
         if not raw.endswith(b"\n"):
@@ -367,7 +364,8 @@ def output_group():
     only once the whole block has exited cleanly.  If the block raises, or a
     target is a directory, all temp files are removed and every target keeps
     its old contents.  A nested group that exits cleanly joins the open one.
-    This is the only code that replaces targets or removes temp files.
+    SIGINT and SIGTERM wait until all targets are replaced.  This is the
+    only code that replaces targets or removes temp files.
     """
     global _staged
     outer = _staged
@@ -380,8 +378,12 @@ def output_group():
         for _, path in staged:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        with ExitStack() as stack:
+            if hasattr(signal, "pthread_sigmask"):  # not on Windows
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+                stack.callback(signal.pthread_sigmask, signal.SIG_SETMASK, mask)
+            for tmp, path in staged:
+                os.replace(tmp, path)
     finally:
         _staged = outer
         for tmp, _ in staged:
@@ -491,90 +493,87 @@ def embedding_spans(
     ``expected_dimension`` is given.  Format errors carry the 1-based row
     number of the offending line; the spans before it are yielded first.
 
-    One pass reads the ``line_blocks`` of a file or a pipe alike, cuts each
-    block into pieces at the lines that end a span, and has numpy's C reader
-    parse each span once it is complete, across the CPUs in the affinity
-    mask: forked workers ``pread`` a file's pieces and inherit a pipe's,
-    whose bytes are held for the span.  A file's block is cut whole before
-    its first span is parsed, so no bytes of a file are held while workers
-    fork.  From the first span the C reader cannot vouch for (csv quoting,
-    CR line ends, any bad row, an id of an earlier span) on, the row loop
-    reads on from that span's first line, given the ids seen, and locates
-    the error.  A caller that drops each span before asking for the next
-    holds one span at a time.
+    A pipe is first copied whole into an unlinked temp file, which needs
+    TMPDIR space of its size, and parsed from there after it ends.  Each of
+    the file's ``line_blocks`` is cut whole into pieces at the lines that
+    end a span, and numpy's C reader parses each span once it is complete,
+    across the CPUs in the affinity mask: forked workers ``pread`` their
+    pieces, so no bytes are held while they fork.  From the first span the
+    C reader cannot vouch for (csv quoting, CR line ends, any bad row, an
+    id of an earlier span) on, the row loop reads the file again from that
+    span's first line, given the ids seen.  A caller that drops each span
+    before asking for the next holds one span at a time.
     """
     path = Path(path)
-    with path.open("rb") as f:
-        keep = not f.seekable()  # a pipe cannot be read again at an offset
-        blocks = line_blocks(f)
+    with ExitStack() as stack:
+        f = stack.enter_context(path.open("rb"))
+        if not f.seekable():  # a pipe: its pieces are read at their offsets in a copy
+            try:
+                spool = stack.enter_context(tempfile.TemporaryFile())
+                shutil.copyfileobj(f, spool)
+            except OSError as exc:  # name the input, not the temp file
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+            f = spool
+            f.seek(0)
         seen: dict[str, int] = {}  # utterance id -> row number, of every span yielded
-        pieces: list[tuple] = []  # the open span: (offset, size, lines, bytes or None) pieces
+        pieces: list[tuple[int, int, int]] = []  # the open span: (offset, size, lines) pieces
         dim, left = expected_dimension, 0  # left: lines the open span still takes; none opens the next
 
-        def finish(rest=()):
-            """Yield the open span or, if the C reader declines it, return True after the row loop's spans
-            over its pieces, the pieces ``rest`` and the blocks after them."""
+        def finish():
+            """Yield the open span, or the row loop's spans from its first line on and return True."""
             span = _parse_span(f, pieces, dim, seen) if pieces else None
             if span is not None:
-                pieces.clear()  # a pipe's text is not held while the caller has the span
+                pieces.clear()
                 yield span
                 return False
-            rest = [*pieces, *filter(None, rest)]
-            held = ((o, b if b is not None else _read_at(f, o, n)) for o, n, _, b in rest)
-            first_dim = dim if seen else expected_dimension
-            yield from _load_rows(path, itertools.chain(held, blocks), first_dim, rows, seen)
+            blocks = line_blocks(f, f.seek(pieces[0][0] if pieces else 0))
+            yield from _load_rows(path, blocks, dim if seen else expected_dimension, rows, seen)
             return True
 
-        for offset, raw in blocks:
+        for offset, raw in line_blocks(f):
             if dim is None:  # the first line's commas; a row that disagrees declines in its block
                 dim = raw[: raw.find(b"\n") + 1 or None].count(b",") - 1
-            cut = deque()  # the block's pieces, and after each that ends a span, None
+            cut = []  # the block's (piece, ends a span) pairs
             lines, start = raw.count(b"\n") + (not raw.endswith(b"\n")), 0
             while lines:
-                if not left:
-                    left = rows or math.inf
+                left = left or rows or math.inf
                 take, end = min(lines, left), len(raw)
                 if take < lines:
                     end = start
                     for _ in range(take):
                         end = raw.index(b"\n", end) + 1
-                cut.append((offset + start, end - start, take, raw[start:end] if keep else None))
-                if take == left:
-                    cut.append(None)
+                cut.append(((offset + start, end - start, take), take == left))
                 lines, left, start = lines - take, left - take, end
-            raw = None  # nor does line_blocks hold it: no bytes of a file are held while a span is parsed
-            while cut:  # popped, so that no piece of a pipe outlives its span's parse
-                piece = cut.popleft()
-                if piece is not None:
-                    pieces.append(piece)
-                elif (yield from finish(cut)):
+            raw = None  # nor does line_blocks hold it: no bytes are held while a span is parsed
+            for piece, ends_span in cut:
+                pieces.append(piece)
+                if ends_span and (yield from finish()):
                     return
         if pieces or not seen:  # the last span; the row loop names an empty file
             yield from finish()
 
 
 def _parse_span(f, pieces, dim: int, seen: dict[str, int]) -> EmbeddingSet | None:
-    """The ``(offset, size, lines, bytes or None)`` pieces of a span as an EmbeddingSet of ``dim`` values a row.
+    """The ``(offset, size, lines)`` pieces of a span in the file ``f`` as an EmbeddingSet of ``dim`` values a row.
 
-    A piece without its bytes is read from the binary file ``f``.  Piece
-    ``i`` is share ``i % W`` of ``_fork_map``: forked workers only read and
+    Piece ``i`` is share ``i % W`` of ``_fork_map``: forked workers only read and
     parse their pieces into the shared rows, and send back their ids.  None
     if any piece declines, the span fails a record check or repeats an id of
     ``seen``; else the span's ids are added to ``seen`` with their row numbers.
     """
     try:  # shared, so that forked workers fill it; a malformed first line can ask for too much or nothing
-        shared = mmap.mmap(-1, sum(n for _, _, n, _ in pieces) * dim * 8)
+        shared = mmap.mmap(-1, sum(n for _, _, n in pieces) * dim * 8)
     except (OverflowError, OSError):
         return None
     values = np.frombuffer(shared, dtype=np.float64).reshape(-1, dim)
-    ends = itertools.accumulate(n for _, _, n, _ in pieces)
-    jobs = [(offset, size, raw, values[end - n : end]) for (offset, size, n, raw), end in zip(pieces, ends)]
+    ends = itertools.accumulate(n for _, _, n in pieces)
+    jobs = [(offset, size, values[end - n : end]) for (offset, size, n), end in zip(pieces, ends)]
     workers = min(_WORKERS, len(jobs))
 
     def parse(k):
         ids = []
-        for offset, size, raw, out in jobs[k::workers]:
-            got = _parse_block(raw if raw is not None else _read_at(f, offset, size), out)
+        for offset, size, out in jobs[k::workers]:
+            got = _parse_block(_read_at(f, offset, size), out)
             if got is None:
                 return None
             ids.append(got)

@@ -895,6 +895,32 @@ class TestAtomicOutputs:
         )
         assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
+    def test_a_pipe_that_cannot_be_copied_is_named(self, workspace, bank_dir, tmp_path, monkeypatch, capsys):
+        # trials piped in are copied into a temp file before they are parsed; no room for it
+        # is an error naming the pipe, and nothing is written
+        root, _, _ = workspace
+
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(data.tempfile, "TemporaryFile", full)
+        r, w = os.pipe()
+        os.write(w, (root / "test_trials.csv").read_bytes()[:4096])  # fits in the pipe
+        os.close(w)
+        out = tmp_path / "out"
+        argv = [
+            "eval", "--bank", str(bank_dir), "--trials", f"/dev/fd/{r}",
+            "--labels", str(root / "test_labels.csv"), "--out-dir", str(out),
+        ]
+        try:
+            assert cli.main(argv) == 1
+        finally:
+            os.close(r)
+        why = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: {why}: '/dev/fd/{r}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(not hasattr(os, "symlink"), reason="makes symbolic links")
     @pytest.mark.parametrize("command", ["score", "eval"])
     def test_a_linked_output_keeps_its_link(self, workspace, bank_dir, tmp_path, command):
@@ -1133,6 +1159,32 @@ class TestInterrupted:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert set(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="masks signals with pthread_sigmask")
+    def test_a_signal_during_the_commit_waits_for_it(self, workspace, bank_dir, tmp_path, monkeypatch, capsys):
+        # SIGTERM after the first of eval's three outputs is moved into place: all three
+        # land, then the command ends as interrupted
+        root, _, _ = workspace
+        argv = [
+            "eval", "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv"),
+            "--labels", str(root / "test_labels.csv"), "--out-dir",
+        ]
+        assert cli.main([*argv, str(tmp_path / "whole")]) == 0
+        capsys.readouterr()
+        mask, real, replaced = signal.pthread_sigmask(signal.SIG_BLOCK, []), os.replace, []
+
+        def replace(src, dst):
+            real(src, dst)
+            replaced.append(dst)
+            if len(replaced) == 1:
+                signal.raise_signal(signal.SIGTERM)
+
+        monkeypatch.setattr(data.os, "replace", replace)
+        assert cli.main([*argv, str(tmp_path / "cut")]) == 128 + signal.SIGTERM
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert len(replaced) == 3
+        assert read_all_bytes(tmp_path / "cut") == read_all_bytes(tmp_path / "whole")
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
 
     def test_main_runs_outside_the_main_thread(self, tmp_path, capsys):
         # there it sets no handler: only the main thread may

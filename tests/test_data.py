@@ -1,3 +1,4 @@
+import codecs
 import csv
 import errno
 import io
@@ -222,14 +223,13 @@ class TestLoadEmbeddings:
         assert block_spans(p, None, 1) == list(loop_spans(p, None, 1))
 
     @pytest.mark.parametrize("source", ["file", "pipe"])
-    def test_no_bytes_of_a_file_are_held_while_a_span_is_parsed(self, tmp_path, monkeypatch, source):
+    def test_no_bytes_of_an_input_are_held_while_a_span_is_parsed(self, tmp_path, monkeypatch, source):
         # spans of 316 rows end 4 and 8 rows before the end of a 64-row block.  What a worker
-        # would inherit at the fork of a file's span is the ids seen and the pieces, never a
-        # block; at a pipe's, also the span's text and the rest of its last block.  Once the
-        # span is yielded, no piece of it is held
+        # would inherit at the fork of a span is the ids seen and the pieces, never a block,
+        # for a pipe too: it is read from its copy.  Once the span is yielded, no piece of it is held
         lines = [f"u{i:03},s{i % 7}," + ",".join([f"{i:03}.123456789"] * 300) + "\n" for i in range(948)]
         p = write(tmp_path / "e.csv", "".join(lines))
-        block, text = 64 * len(lines[0]), 316 * len(lines[0])
+        block = 64 * len(lines[0])
         if source == "pipe" and not os.path.isdir("/dev/fd"):
             pytest.skip("names a pipe through /dev/fd")
         monkeypatch.setattr(data, "_BLOCK_BYTES", block)
@@ -250,7 +250,7 @@ class TestLoadEmbeddings:
             finally:
                 tracemalloc.stop()
         assert len(parsing) == len(held) == 3
-        assert max(parsing) < (block if source == "file" else text + 2 * block)
+        assert max(parsing) < block
         assert max(held) < block
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
@@ -476,11 +476,13 @@ class TestFastPathEqualsLoop:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("rows", [1, 7, _CHUNK])
-    @pytest.mark.parametrize("case", ["late_decline", "split_duplicate", "empty_file", "pipe"])
+    @pytest.mark.parametrize(
+        "case", ["late_decline", "split_duplicate", "empty_file", "pipe", "pipe_late_decline"]
+    )
     def test_spans_equal_the_loop(self, tmp_path, monkeypatch, case, rows, workers):
         n = 2 * rows + 3  # three spans, the last of three rows
         lines = [f"u{i},s{i % 3},{i}.5,-{i}e-3\n" for i in range(n)]
-        if case == "late_decline":  # numpy declines the last row, float() reads it
+        if case.endswith("late_decline"):  # numpy declines the last row, float() reads it
             lines[-1] = f"u{n - 1},s,1_0,2\n"
         if case == "split_duplicate":  # the first row of span 2 repeats the first row of span 0
             lines[2 * rows] = "u0" + lines[2 * rows][len(f"u{2 * rows}"):]
@@ -492,14 +494,17 @@ class TestFastPathEqualsLoop:
             "split_duplicate": f"{path}: row {2 * rows + 1}: duplicate utterance id 'u0' (first seen at row 1)",
             "empty_file": f"{path}: empty embedding file",
             "pipe": None,
+            "pipe_late_decline": None,
         }[case]
         # the block parser yields every span before the one it cannot vouch for, and the row
-        # loop reads on from that span's first row; a clean pipe never reaches the row loop
+        # loop reads the file, or a pipe's copy, again from that span's first row; a clean
+        # pipe never reaches the row loop
         declined_span = {
             "late_decline": (n - 1) // rows,
             "split_duplicate": 2,
             "empty_file": 0,
             "pipe": None,
+            "pipe_late_decline": (n - 1) // rows,
         }[case]
         starts, load_rows = [], data._load_rows
 
@@ -511,7 +516,7 @@ class TestFastPathEqualsLoop:
         monkeypatch.setattr(data, "_BLOCK_BYTES", 256)
         monkeypatch.setattr(data, "_WORKERS", workers)
         fds = set(os.listdir("/proc/self/fd"))
-        if case == "pipe":
+        if case.startswith("pipe"):
             with pipe_of(path.read_bytes()) as pipe:
                 got = self.spans(data.embedding_spans(pipe, None, rows))
         else:
@@ -850,6 +855,22 @@ class TestCsvRows:
         assert list(offsets) == [0, *itertools.accumulate(map(len, blocks[:-1]))]
         assert all(b.endswith(eol) for b in blocks)  # a CR LF is never split
         assert max(map(len, blocks)) < 2 * (64 + len(line))
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 20])
+    def test_blocks_from_an_offset_count_from_it_and_keep_a_bom(self, monkeypatch, block):
+        # the row loop reads a declined span again from its first line: a BOM there is an
+        # id's first character, not the file's, and offsets stay the file's
+        raw = codecs.BOM_UTF8 + b"u0,a,1.0\n" + codecs.BOM_UTF8 + b"u1,a,2.0\nu2,a,3.0\n"
+        at = raw.index(b"\n") + 1
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block)
+        f = io.BytesIO(raw)
+        f.seek(at)
+        offsets, blocks = zip(*data.line_blocks(f, at))
+        assert b"".join(blocks) == raw[at:]
+        assert list(offsets) == [at + o for o in [0, *itertools.accumulate(map(len, blocks[:-1]))]]
+        # from byte 0, the first BOM is dropped
+        offset, first = next(data.line_blocks(io.BytesIO(raw)))
+        assert (offset, first[:3]) == (len(codecs.BOM_UTF8), b"u0,")
 
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("block", [1, 64, 1 << 20])
