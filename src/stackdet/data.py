@@ -40,9 +40,9 @@ calls ``float()`` itself.  Each span's pieces are parsed across the CPUs in
 the affinity mask, by this process and forked workers that ``pread`` them
 into the span's one shared array, each by the same call, so the values are
 bit-identical at any CPU count.
-``_fork_map`` is the one place that forks, for reads and writes alike; a
-share whose fork or worker fails is done by this process.  With one CPU, or
-without ``os.fork`` or an affinity mask, all of it is done serially here.
+``_fork_map``, the one place that forks, maps a list of jobs, one contiguous
+run per process; this process redoes a share whose fork or worker fails, and
+does them all with one CPU, or without ``os.fork`` or an affinity mask.
 """
 
 from __future__ import annotations
@@ -205,10 +205,11 @@ if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 
 
-def _fork_map(work, n: int) -> list:
-    """``[work(k) for k in range(n)]``, with ``work(0)`` run here and every other share in a forked worker.
+def _fork_map(work, jobs: Sequence) -> list:
+    """``[work(job) for job in jobs]``, the jobs cut into one contiguous share per worker.
 
-    A worker sends its result back pickled through a pipe and leaves through
+    This process runs the first share and a forked worker each other one.
+    A worker sends its results back pickled through a pipe and leaves through
     ``os._exit``, so no cleanup of this process's state (an open output
     group, buffered files) runs in it.  A share whose fork fails (no process
     to spare) or whose worker does not exit cleanly is done by this process
@@ -216,6 +217,9 @@ def _fork_map(work, n: int) -> list:
     is safe although BLAS may run threads: ``work`` must call no BLAS.  No
     worker outlives this call.
     """
+    n = max(1, min(_WORKERS, len(jobs)))
+    cuts = [len(jobs) * k // n for k in range(n + 1)]
+    shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
     children = {}  # share -> (pid, read end of its pipe)
     try:
         for k in range(1, n):
@@ -231,14 +235,14 @@ def _fork_map(work, n: int) -> list:
                 try:
                     os.close(r)
                     with open(w, "wb") as pipe:
-                        pickle.dump(work(k), pipe)
+                        pickle.dump([work(job) for job in shares[k]], pipe)
                     code = 0
                 finally:
                     os._exit(code)  # no cleanup of the parent's state
             os.close(w)
             children[k] = pid, open(r, "rb")
         results = []
-        for k in range(n):
+        for k, share in enumerate(shares):
             if k in children:
                 pid, pipe = children[k]
                 with pipe:
@@ -246,9 +250,9 @@ def _fork_map(work, n: int) -> list:
                 status = os.waitpid(pid, 0)[1]
                 del children[k]
                 if status == 0:
-                    results.append(pickle.loads(payload))
+                    results += pickle.loads(payload)
                     continue
-            results.append(work(k))
+            results += [work(job) for job in share]
         return results
     finally:
         for pid, pipe in children.values():  # after an error here; their shares go unused
@@ -430,24 +434,24 @@ def _write_rows(f, ids: Sequence[Sequence[str]], values: np.ndarray) -> None:
     """
     n = max(1, min(_WORKERS, len(values))) if values.size >= _FORK_VALUES else 1
     cuts = [len(values) * k // n for k in range(n + 1)]
-    spans = [([c[a:b] for c in ids], values[a:b]) for a, b in zip(cuts, cuts[1:])]
     with ExitStack() as stack:
         # opened before the fork, so that this process reads what a worker wrote
         outs = [f] + [
             stack.enter_context(
                 tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=Path(f.name).parent)
             )
-            for _ in spans[1:]
+            for _ in range(n - 1)
         ]
 
-        def write(k):
-            if k:  # a span redone here after its worker failed starts afresh
-                outs[k].seek(0)
-                outs[k].truncate()
-            _format_rows(outs[k], *spans[k])
-            outs[k].flush()  # a worker leaves without flushing; f's text goes before the spans
+        def write(job):
+            out, a, b = job
+            if out is not f:  # a span redone here after its worker failed starts afresh
+                out.seek(0)
+                out.truncate()
+            _format_rows(out, [c[a:b] for c in ids], values[a:b])
+            out.flush()  # a worker leaves without flushing; f's text goes before the spans
 
-        _fork_map(write, n)
+        _fork_map(write, list(zip(outs, cuts, cuts[1:])))
         for out in outs[1:]:
             out.seek(0)
             shutil.copyfileobj(out.buffer, f.buffer)
@@ -457,8 +461,9 @@ def save_table(path, header: Sequence[str] | None, ids: Sequence[Sequence[str]],
     """Write a CSV table: the ``header`` line unless it is None, then the rows of each block.
 
     Blocks are 2-D and written as they arrive, so a generator of them never holds the whole table.
+    An id column that is not one id per row, or a header that does not name every column, is a ValueError.
     """
-    with open_output(path) as f:
+    with open_output(path) as f:  # an error leaves path as it was
         if header is not None:
             f.write(_csv_line(header)[:-2] + "\n")
         b = 0
@@ -466,9 +471,14 @@ def save_table(path, header: Sequence[str] | None, ids: Sequence[Sequence[str]],
             values = np.asarray(block, dtype=np.float64)
             if values.ndim != 2:
                 raise ValueError(f"table blocks must be 2-D arrays, got {values.ndim}-D")
+            if header is not None and len(header) != len(ids) + values.shape[1]:
+                raise ValueError(f"{len(header)} header fields for {len(ids) + values.shape[1]} columns")
             a, b = b, b + len(values)
             _write_rows(f, [c[a:b] for c in ids], values)
             del block, values  # free it before a generator scores the next one
+        for c in ids:
+            if len(c) != b:
+                raise ValueError(f"an id column of {len(c)} ids for a table of {b} rows")
 
 
 def save_json(payload, path) -> None:
@@ -556,8 +566,8 @@ def embedding_spans(
 def _parse_span(f, pieces, dim: int, seen: dict[str, int]) -> EmbeddingSet | None:
     """The ``(offset, size, lines)`` pieces of a span in the file ``f`` as an EmbeddingSet of ``dim`` values a row.
 
-    Piece ``i`` is share ``i % W`` of ``_fork_map``: forked workers only read and
-    parse their pieces into the shared rows, and send back their ids.  None
+    The pieces are ``_fork_map``'s jobs: forked workers only read and parse
+    their pieces into the shared rows, and send back their ids.  None
     if any piece declines, the span fails a record check or repeats an id of
     ``seen``; else the span's ids are added to ``seen`` with their row numbers.
     """
@@ -567,22 +577,10 @@ def _parse_span(f, pieces, dim: int, seen: dict[str, int]) -> EmbeddingSet | Non
         return None
     values = np.frombuffer(shared, dtype=np.float64).reshape(-1, dim)
     ends = itertools.accumulate(n for _, _, n in pieces)
-    jobs = [(offset, size, values[end - n : end]) for (offset, size, n), end in zip(pieces, ends)]
-    workers = min(_WORKERS, len(jobs))
-
-    def parse(k):
-        ids = []
-        for offset, size, out in jobs[k::workers]:
-            got = _parse_block(_read_at(f, offset, size), out)
-            if got is None:
-                return None
-            ids.append(got)
-        return ids
-
-    parts = _fork_map(parse, workers)
-    if any(part is None for part in parts):
+    jobs = [((offset, size), values[end - n : end]) for (offset, size, n), end in zip(pieces, ends)]
+    ids = _fork_map(lambda job: _parse_block(_read_at(f, *job[0]), job[1]), jobs)
+    if None in ids:
         return None
-    ids = [parts[i % workers][i // workers] for i in range(len(jobs))]
     try:  # rejects empty and duplicate utterance ids and non-finite values
         span = EmbeddingSet(
             [u for utts, _ in ids for u in utts],

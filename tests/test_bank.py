@@ -470,6 +470,22 @@ class TestDetectorBank:
         with pytest.raises(ValueError, match="unit length"):
             DetectorBank(("a",), np.array([[1.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DetectorBank((), np.zeros((0, 2))), "a detector bank needs at least one model"),
+            # two utterances of speaker a point opposite ways
+            (
+                lambda: enroll(EmbeddingSet(["u1", "u2"], ["a", "a"], [[1.0, 0.0], [-1.0, 0.0]])),
+                "speaker 'a': utterances cancel to a zero mean",
+            ),
+        ],
+        ids=["no_model", "zero_mean"],
+    )
+    def test_no_model_or_a_zero_mean_model_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_models_view(self):
         b = enroll(EmbeddingSet(["u"], ["a"], [[0.0, 2.0]]))
         assert b.speaker_ids == ("a",)

@@ -464,6 +464,18 @@ class TestEval:
         assert rc == 1
         assert "missing label" in capsys.readouterr().err
 
+    def test_duplicate_label_is_an_error(self, workspace, bank_dir, tmp_path, capsys):
+        root, pop, _ = workspace
+        labels = tmp_path / "twice.csv"
+        rows = (root / "test_labels.csv").read_text("utf-8").splitlines()
+        labels.write_text("\n".join([*rows, rows[1]]) + "\n", encoding="utf-8")
+        argv = ["eval", "--bank", str(bank_dir), "--trials", str(root / "test_trials.csv")]
+        rc = cli.main([*argv, "--labels", str(labels), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        row, utt = len(rows) + 1, pop.test.utterance_ids[1]
+        assert capsys.readouterr().err == f"error: {labels}: row {row}: duplicate label for {utt!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_truth_speaker_is_an_error(self, workspace, bank_dir, tmp_path, capsys):
         root, pop, _ = workspace
         labels = tmp_path / "bad.csv"
@@ -1399,6 +1411,14 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "out" / "size_sweep.json").read_text("utf-8"))
         assert sidecar["sizes"] == [10, 50, 100, 500, 1000, 3631]
 
+    def test_a_size_above_the_test_blacklist_widens_it(self, tmp_path):
+        # the default test partition has 3,631 blacklist speakers
+        argv = ["simulate", "--sizes", "10,4000", "--replicates", "1", "--dimension", "4"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "size_sweep.csv").read_text("utf-8").splitlines()
+        assert [row.split(",")[0] for row in rows] == ["blacklist_size", "10", "4000"]
+        assert json.loads((tmp_path / "size_sweep.json").read_text("utf-8"))["sizes"] == [10, 4000]
+
 
 class TestUsageErrors:
     def test_missing_required_flag_exits_two(self, capsys):
@@ -1419,6 +1439,13 @@ class TestUsageErrors:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: bad size list")
+
+    @pytest.mark.parametrize("sizes", [",", ""])
+    def test_empty_size_list(self, tmp_path, capsys, sizes):
+        rc = cli.main(["simulate", "--out-dir", str(tmp_path / "out"), "--sizes", sizes])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: empty size list\n"
+        assert not (tmp_path / "out").exists()
 
 
 def _replace(rows, i, row):

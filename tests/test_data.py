@@ -8,7 +8,7 @@ import os
 import threading
 import tracemalloc
 from contextlib import contextmanager, nullcontext
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -90,6 +90,43 @@ def forked_writes(workers):
         mp.setattr(data, "_WORKERS", workers)
         mp.setattr(data, "_FORK_VALUES", 0)
         yield mp
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
+@pytest.mark.parametrize("failure", [None, "no_fork", "second_fork", "worker_exit"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_jobs", [1, 2, 5, 7])
+def test_fork_map_maps_the_jobs_in_order(monkeypatch, n_jobs, workers, failure):
+    jobs = [f"j{i}" for i in range(n_jobs)]
+    parent, fork, forks = os.getpid(), os.fork, 0
+
+    def some_fork():  # no process to spare at every fork, or from the second on
+        nonlocal forks
+        forks += 1
+        if failure == "no_fork" or failure == "second_fork" and forks > 1:
+            raise BlockingIOError(errno.EAGAIN, "no process to spare")
+        return fork()
+
+    def work(job):
+        if failure == "worker_exit" and job == jobs[-1] and os.getpid() != parent:
+            os._exit(3)  # the last share's worker: this process redoes its share
+        return job * 2, os.getpid()
+
+    monkeypatch.setattr(data, "_WORKERS", workers)
+    monkeypatch.setattr(os, "fork", some_fork)
+    fds = set(os.listdir("/proc/self/fd"))
+    got = data._fork_map(work, jobs)
+    assert [out for out, _ in got] == [job * 2 for job in jobs]
+    pids = [pid for _, pid in got]
+    # one contiguous share per process, this one's first; a share is done whole by one process
+    shares = min(workers, n_jobs)
+    cuts = [n_jobs * k // shares for k in range(shares + 1)]
+    owners = [set(pids[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert owners[0] == {parent} and all(len(owner) == 1 for owner in owners)
+    workers_done = {None: shares - 1, "no_fork": 0, "second_fork": min(shares - 1, 1)}
+    workers_done["worker_exit"] = max(shares - 2, 0)  # the last share's worker failed
+    assert len(set(pids) - {parent}) == workers_done[failure]
+    assert_nothing_left(fds)
 
 
 class TestLoadEmbeddings:
@@ -236,9 +273,9 @@ class TestLoadEmbeddings:
         monkeypatch.setattr(data, "_WORKERS", 1)
         parsing, held, fork_map = [], [], data._fork_map
 
-        def spy(work, n):
+        def spy(work, jobs):
             parsing.append(tracemalloc.get_traced_memory()[0])
-            return fork_map(work, n)
+            return fork_map(work, jobs)
 
         monkeypatch.setattr(data, "_fork_map", spy)
         with pipe_of(p.read_bytes()) if source == "pipe" else nullcontext(p) as path:
@@ -618,6 +655,28 @@ class TestScoreMatrix:
                 save_table(tmp_path / "blocks.csv", header, ids, blocks)
             assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "header, ids, widths, message",
+        [
+            (("id", "a", "b"), (["x", "y"],), [2], "an id column of 2 ids for a table of 3 rows"),
+            (("id", "a", "b"), (["x", "y", "z", "w"],), [2], "an id column of 4 ids for a table of 3 rows"),
+            # the second id column runs out in the second block
+            (("i", "j", "a"), (["x", "y", "z"], ["x", "y"]), [1, 1], "of 2 ids for a table of 3 rows"),
+            (("a",), (), [3], "1 header fields for 3 columns"),
+            (("id", "a", "b"), (["x", "y", "z"],), [2, 3], "3 header fields for 4 columns"),
+        ],
+        ids=["short_ids", "long_ids", "short_in_a_later_block", "narrow_header", "a_later_block_too_wide"],
+    )
+    def test_columns_that_disagree_keep_the_old_file(self, tmp_path, header, ids, widths, message, workers):
+        # one block of three rows, or a row and then two, of the given widths
+        blocks = [np.ones((3, widths[0]))] if len(widths) == 1 else [np.ones((1, widths[0])), np.ones((2, widths[1]))]
+        p = write(tmp_path / "t.csv", "old\n")
+        with forked_writes(workers), pytest.raises(ValueError, match=message):
+            save_table(p, header, ids, blocks)
+        assert p.read_text(encoding="utf-8") == "old\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["t.csv"]
+
     def test_a_block_that_is_not_2d_is_rejected(self, tmp_path):
         scores = np.arange(6.0).reshape(3, 2)
         # a bare table iterates as 1-D rows
@@ -897,6 +956,19 @@ class TestManifest:
         with pytest.raises(ValueError, match="partition_name"):
             PartitionManifest("eval", 1, 1, 1, 2)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("train", -1, 1, 1, 2), "speaker counts must be non-negative"),
+            (("train", 1, -1, 1, 2), "speaker counts must be non-negative"),
+            (("train", 1, 1, 0, 2), "min_utterances_per_blacklist_speaker must be positive"),
+            (("train", 1, 1, 1, -1), "total_utterances must be non-negative"),
+        ],
+    )
+    def test_bad_count(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            PartitionManifest(*fields)
+
 
 class TestValidatePartition:
     def test_benchmark_train_passes(self, benchmark_population_small_dim):
@@ -962,6 +1034,22 @@ class TestValidatePartition:
         manifest = PartitionManifest("dev", 2, 1, 1, 3)
         report = validate_partition(es, manifest, reference_blacklist={"bl1", "bl2"})
         assert any("not in the reference blacklist" in v for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "field, violation",
+        [
+            ("blacklist_speaker_count", "blacklist speaker count 2 != manifest 3"),
+            ("background_speaker_count", "background speaker count 1 != manifest 2"),
+            ("total_utterances", "total utterances 4 != manifest 5"),
+        ],
+    )
+    def test_each_count_that_disagrees_is_one_violation(self, field, violation):
+        # speakers a and b on the blacklist, and one unlabeled background utterance
+        es = EmbeddingSet(["u1", "u2", "u3", "u4"], ["a", "a", "b", None], np.eye(4))
+        manifest = PartitionManifest("train", 2, 1, 1, 4)
+        assert validate_partition(es, manifest).ok
+        off = replace(manifest, **{field: getattr(manifest, field) + 1})
+        assert validate_partition(es, off).violations == (violation,)
 
     def test_reports_are_deterministic(self, benchmark_population_small_dim):
         pop = benchmark_population_small_dim
@@ -1050,6 +1138,20 @@ class TestSubset:
         assert es.subset([False, True, False, True]).utterance_ids == ("b", "d")
         with pytest.raises(ValueError, match=f"mask of length {len(mask)} for 4 rows"):
             es.subset(mask)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EmbeddingSet(["u"], ["s"], np.zeros((1, 0))), "embedding dimension must be >= 1"),
+        (lambda: EmbeddingSet(["u1", "u2"], ["s"], np.eye(2)), "expected 2 speaker ids, got 1"),
+        (lambda: concatenate([]), "nothing to concatenate"),
+    ],
+    ids=["zero_width", "speaker_id_count", "concatenate_nothing"],
+)
+def test_bad_embedding_sets_are_named(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestConcatenate:

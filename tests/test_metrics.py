@@ -184,6 +184,19 @@ class TestSweepTopS:
         with pytest.raises(ValueError, match="differ in length"):
             sweep_top_s([0.1], [0], [])
 
+    @pytest.mark.parametrize(
+        "trials, thresholds, message",
+        [
+            (([0.5, 0.2], [0, 0], [0, -1]), [], "empty threshold list"),
+            (([0.5, 0.2], [0, 0], [0, -1]), [0.3, float("nan")], "NaN threshold"),
+            (([], [], []), None, "no trials"),
+            (([0.5, 0.2], [0, 0], [0, -2]), None, "negative truth index"),
+        ],
+    )
+    def test_bad_arguments_are_named(self, trials, thresholds, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_both(*trials, thresholds)
+
 
 class TestSweepTop1:
     def test_confusion_micro_case(self):

@@ -43,6 +43,11 @@ class TestPartitionSpec:
         with pytest.raises(ValueError, match="at least one utterance"):
             PartitionSpec(2, 0, 0, 0)
 
+    @pytest.mark.parametrize("counts", [(-1, 0), (0, -1)])
+    def test_negative_speaker_counts(self, counts):
+        with pytest.raises(ValueError, match="speaker counts must be non-negative"):
+            PartitionSpec(*counts)
+
 
 class TestGeneratePopulation:
     def test_small_shapes_and_labels(self):
@@ -158,6 +163,14 @@ class TestGeneratePopulation:
                 PopulationConfig(speaker_spread=bad)
             with pytest.raises(ValueError, match="channel_spread"):
                 PopulationConfig(channel_spread=bad)
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+                PopulationConfig(seed=bad)
+
+    def test_no_blacklist_speaker_is_rejected(self):
+        none = PartitionSpec(0, 2, 1, 2)
+        with pytest.raises(ValueError, match="at least one blacklist speaker is required"):
+            generate_population(SMALL, none, none, none)
 
 
 class TestReplicateSeeds:
@@ -281,6 +294,18 @@ class TestRunSizeSweep:
             self.small_sweep(sizes=[0, 5])
         with pytest.raises(ValueError, match="no sizes"):
             self.small_sweep(sizes=[])
+
+    @pytest.mark.parametrize(
+        "argument, message",
+        [
+            ({"replicates": 0}, "replicates must be positive"),
+            ({"norm_mode": "zscore"}, "normalization mode must be one of"),
+            ({"train_utts_per_speaker": 0}, "train_utts_per_speaker must be positive"),
+        ],
+    )
+    def test_argument_validation(self, argument, message):
+        with pytest.raises(ValueError, match=message):
+            self.small_sweep(**argument)
 
     def test_save_artifacts(self, tmp_path):
         r = self.small_sweep()
