@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stackdet.data import UNLABELED, concatenate, open_output, save_embeddings, save_manifest
+from stackdet.data import UNLABELED, open_output, save_embeddings
 from stackdet.synth import (
     PopulationConfig,
     default_partition_specs,
@@ -28,6 +28,17 @@ def write_labels(embeddings, path):
     with open_output(path) as f:
         for utt, spk in zip(embeddings.utterance_ids, embeddings.speaker_ids):
             f.write(f"{utt},{spk if spk is not None else UNLABELED}\n")
+
+
+def write_manifest(manifest, path):
+    with open_output(path) as f:
+        f.write(
+            f"partition={manifest.partition_name}\n"
+            f"blacklist_speakers={manifest.blacklist_speaker_count}\n"
+            f"background_speakers={manifest.background_speaker_count}\n"
+            f"min_blacklist_utterances={manifest.min_utterances_per_blacklist_speaker}\n"
+            f"total_utterances={manifest.total_utterances}\n"
+        )
 
 
 def main(argv=None) -> int:
@@ -61,10 +72,11 @@ def main(argv=None) -> int:
         bg_part = es.subset([not m for m in bl_mask])
         save_embeddings(bl_part, out / f"{name}_blacklist.csv")
         save_embeddings(bg_part, out / f"{name}_background.csv")
-        save_embeddings(concatenate([bl_part, bg_part]), out / f"{name}_trials.csv")
-        save_manifest(manifest_for(spec, name), out / f"{name}.manifest")
+        # the blacklist rows come first, so ``es`` is the two parts in file order
+        save_embeddings(es, out / f"{name}_trials.csv")
+        write_manifest(manifest_for(spec, name), out / f"{name}.manifest")
         if name != "train":
-            write_labels(concatenate([bl_part, bg_part]), out / f"{name}_labels.csv")
+            write_labels(es, out / f"{name}_labels.csv")
         print(f"{name}: {len(es)} utterances ({len(bl_part)} blacklist)")
     print(f"wrote {out}")
     return 0

@@ -26,7 +26,6 @@ from .data import (
     concatenate,
     load_embeddings,
     save_embeddings,
-    save_manifest,
     validate_partition,
 )
 from .metrics import (

@@ -1,4 +1,4 @@
-"""Embedding sets, score matrices, partition manifests, and their file formats.
+"""Embedding sets, score matrices, partition checks, and the package's file formats.
 
 Every file the package writes is written here.  On-disk formats (all UTF-8,
 LF line endings):
@@ -10,8 +10,7 @@ LF line endings):
   its floats; the score CSV, written and never read, has the header
   ``utterance_id`` followed by the detector speaker ids and one row per trial,
 * JSON (``save_json``; ``mnorm.json``, ``report.json``, ``size_sweep.json``):
-  indent 2, sorted keys, a final LF,
-* manifest, written and never read: ``key=value`` lines, one per manifest field.
+  indent 2, sorted keys, a final LF.
 
 Floats are written with shortest round-trip repr and parsed as binary64, so
 a save followed by a load reproduces every value bit-exactly.  The one row
@@ -60,7 +59,7 @@ import shutil
 import signal
 import tempfile
 from contextlib import ExitStack, contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -70,18 +69,8 @@ import numpy as np
 UNLABELED = "-"
 PARTITION_NAMES = ("train", "dev", "test")
 
-# in PartitionManifest field order
-_MANIFEST_KEYS = (
-    "partition",
-    "blacklist_speakers",
-    "background_speakers",
-    "min_blacklist_utterances",
-    "total_utterances",
-)
-
-
 class DataFormatError(ValueError):
-    """A file violates the frozen CSV or manifest format."""
+    """A file violates the frozen CSV format."""
 
 
 def _float_array(values, ndim: int, name: str) -> np.ndarray:
@@ -756,12 +745,6 @@ class PartitionManifest:
             raise ValueError("min_utterances_per_blacklist_speaker must be positive")
         if self.total_utterances < 0:
             raise ValueError("total_utterances must be non-negative")
-
-
-def save_manifest(manifest: PartitionManifest, path) -> None:
-    with open_output(path) as f:
-        for key, value in zip(_MANIFEST_KEYS, astuple(manifest)):
-            f.write(f"{key}={value}\n")
 
 
 @dataclass(frozen=True)

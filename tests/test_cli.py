@@ -596,6 +596,8 @@ class TestMalformedBank:
             (lambda p: p.update(cohort_size=2.5), "key 'cohort_size' must be an integer"),
             (lambda p: p.update(schema_version=99), "unsupported schema_version 99"),
             (lambda p: p.update(sigma=p["sigma"][:-1]), "mu and sigma"),
+            (lambda p: p["sigma"].__setitem__(1, 0.0), "sigma must be positive for every detector"),
+            (lambda p: p["sigma"].__setitem__(1, -1.0), "sigma must be positive for every detector"),
             (lambda p: p["mu"].insert(0, 10**400), "int too large to convert to float"),
             (
                 lambda p: p.update(mu=p["mu"][:-1], sigma=p["sigma"][:-1]),
@@ -609,6 +611,25 @@ class TestMalformedBank:
         edit(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
         self.assert_clean_eval_error(workspace, broken_bank, tmp_path, capsys, message)
+
+    def test_a_bank_directory_without_bank_csv_is_a_clean_error(
+        self, workspace, broken_bank, tmp_path, capsys
+    ):
+        root, _, _ = workspace
+        (broken_bank / "bank.csv").unlink()
+        out = tmp_path / "out"
+        rc = cli.main(
+            [
+                "eval",
+                "--bank", str(broken_bank),
+                "--trials", str(root / "test_trials.csv"),
+                "--labels", str(root / "test_labels.csv"),
+                "--out-dir", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: no bank.csv in {broken_bank}\n"
+        assert not out.exists()
 
     def test_deeply_nested_mnorm_is_a_clean_error(self, workspace, broken_bank, tmp_path, capsys):
         text = "[" * 100000 + "]" * 100000
@@ -896,9 +917,9 @@ class TestAtomicOutputs:
                 "--out-dir", str(out), "--sizes", "5", "--replicates", "1", "--dimension", "4",
             ],
         }
-        if command is None:
+        if command is None:  # a file written alone is an output group of one
             with pytest.raises(OSError, match="No space left"):
-                data.save_manifest(data.PartitionManifest("test", 8, 30, 1, 38), out / name)
+                data.save_json({"partition": "test"}, out / name)
         else:
             assert cli.main([command, *argv[command]]) == 1
             assert capsys.readouterr().err.startswith("error: [Errno 28] No space left")

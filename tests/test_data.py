@@ -25,7 +25,6 @@ from stackdet.data import (
     concatenate,
     load_embeddings,
     save_embeddings,
-    save_manifest,
     save_table,
     validate_partition,
 )
@@ -945,13 +944,6 @@ class TestCsvRows:
 
 
 class TestManifest:
-    def test_written_lines(self, tmp_path):
-        save_manifest(PartitionManifest("train", 3631, 5000, 3, 41845), tmp_path / "m.txt")
-        assert (tmp_path / "m.txt").read_bytes() == (
-            b"partition=train\nblacklist_speakers=3631\nbackground_speakers=5000\n"
-            b"min_blacklist_utterances=3\ntotal_utterances=41845\n"
-        )
-
     def test_bad_partition_name(self):
         with pytest.raises(ValueError, match="partition_name"):
             PartitionManifest("eval", 1, 1, 1, 2)
@@ -1123,6 +1115,14 @@ def test_records_share_one_validation(name):
     with pytest.raises(ValueError):
         late_failure(caller)
     assert caller.flags.writeable
+
+
+def test_records_of_two_types_differ_and_name_their_shapes():
+    es = EmbeddingSet(["u1"], ["s1"], np.zeros((1, 2)))
+    matrix = ScoreMatrix(["u1"], ["d1"], np.zeros((1, 1)))
+    assert not (es == matrix or matrix == es)
+    assert repr(es) == "EmbeddingSet(n=1, dimension=2)"
+    assert repr(matrix) == "ScoreMatrix(trials=1, detectors=1)"
 
 
 class TestSubset:

@@ -270,6 +270,18 @@ class TestEerFromPoints:
         assert eer == report.eer
         assert theta == report.eer_threshold
 
+    @pytest.mark.parametrize(
+        "thresholds, eer, eer_threshold",
+        [
+            ([0.0, np.inf], 0.5, 0.0),  # the bracket ends at +inf: clamped to its finite end
+            ([0.05], None, None),  # the rates never meet
+        ],
+    )
+    def test_explicit_thresholds(self, thresholds, eer, eer_threshold):
+        for report in sweep_both([0.9, 0.1], [0, 0], [0, -1], thresholds=thresholds):
+            payload = report.to_dict()
+            assert (payload["eer"], payload["eer_threshold"]) == (eer, eer_threshold)
+
 
 class TestRankInvariance:
     @settings(deadline=None, max_examples=40)

@@ -11,11 +11,21 @@ from types import SimpleNamespace
 import pytest
 
 from stackdet.data import (
-    PARTITION_NAMES, UNLABELED, concatenate, load_embeddings, save_manifest,
+    PARTITION_NAMES, UNLABELED, PartitionManifest, concatenate, load_embeddings,
 )
-from stackdet.synth import default_partition_specs, manifest_for
+from stackdet.synth import default_partition_specs
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# each partition's manifest at the benchmark composition
+MANIFESTS = {
+    "train": b"partition=train\nblacklist_speakers=3631\nbackground_speakers=5000\n"
+    b"min_blacklist_utterances=3\ntotal_utterances=41845\n",
+    "dev": b"partition=dev\nblacklist_speakers=3631\nbackground_speakers=5000\n"
+    b"min_blacklist_utterances=1\ntotal_utterances=8631\n",
+    "test": b"partition=test\nblacklist_speakers=3631\nbackground_speakers=12386\n"
+    b"min_blacklist_utterances=1\ntotal_utterances=16017\n",
+}
 
 
 def run_script(name, *args):
@@ -38,9 +48,7 @@ def test_generate_data_writes_loadable_partitions(tmp_path):
         ]
         assert concatenate(parts) == trials
         assert len(trials) == spec.total_utterances
-        save_manifest(manifest_for(spec, name), tmp_path / "expected.manifest")
-        expected = (tmp_path / "expected.manifest").read_bytes()
-        assert (tmp_path / f"{name}.manifest").read_bytes() == expected
+        assert (tmp_path / f"{name}.manifest").read_bytes() == MANIFESTS[name]
         if name != "train":
             with (tmp_path / f"{name}_labels.csv").open(encoding="utf-8", newline="") as f:
                 labels = list(csv.reader(f))
@@ -50,11 +58,21 @@ def test_generate_data_writes_loadable_partitions(tmp_path):
             ]
 
 
-
-def test_a_failed_label_write_keeps_the_old_file_and_no_partial_one(tmp_path):
+def load_generate_data():
     spec = importlib.util.spec_from_file_location("generate_data", SCRIPTS / "generate_data.py")
     generate_data = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate_data)
+    return generate_data
+
+
+def test_write_manifest_writes_one_line_per_field(tmp_path):
+    manifest = PartitionManifest("train", 3631, 5000, 3, 41845)
+    load_generate_data().write_manifest(manifest, tmp_path / "m.txt")
+    assert (tmp_path / "m.txt").read_bytes() == MANIFESTS["train"]
+
+
+def test_a_failed_label_write_keeps_the_old_file_and_no_partial_one(tmp_path):
+    generate_data = load_generate_data()
 
     def speakers():
         yield "s1"
